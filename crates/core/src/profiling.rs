@@ -9,8 +9,11 @@
 use serde::{Deserialize, Serialize};
 
 use hw_sim::units::Energy;
-use ppg_data::{DatasetBuilder, IntoWindowSource, LabeledWindow, WindowCache, WindowSource};
+use ppg_data::{
+    DatasetBuilder, IntoWindowSource, LabeledWindow, WindowCache, WindowDemand, WindowSource,
+};
 use ppg_dsp::stats::ErrorAccumulator;
+use ppg_models::surrogate::CalibratedEstimator;
 use ppg_models::traits::{ActivityClassifier, HrEstimator, OracleActivityClassifier};
 use ppg_models::zoo::{ModelKind, ModelZoo};
 
@@ -65,6 +68,21 @@ impl<'a> Profiler<'a> {
     /// Creates a profiler for the given zoo (platforms + BLE link).
     pub fn new(zoo: &'a ModelZoo) -> Self {
         Self { zoo }
+    }
+
+    /// What profiling with `classifier` reads of each window: the union of
+    /// the classifier's declared demand and the calibrated estimators'. Open
+    /// the profiling stream with it (`DatasetBuilder::demand`); the
+    /// oracle-classifier entry points ([`Profiler::profile`],
+    /// [`Profiler::profile_all`]) read labels only.
+    pub fn demand(&self, classifier: &dyn ActivityClassifier) -> WindowDemand {
+        // The bare surrogates the zoo instruments: asking them registers no
+        // telemetry series.
+        ModelKind::ALL
+            .iter()
+            .fold(classifier.demand(), |demand, &kind| {
+                demand.union(CalibratedEstimator::new(kind, 0).demand())
+            })
     }
 
     /// Smartwatch energy charged for one window handled by `model`, either
@@ -576,6 +594,34 @@ mod tests {
             .unwrap();
         assert_eq!(cached_one, eager_one);
         assert_eq!(cache.hits(), 2);
+    }
+
+    #[test]
+    fn profiling_reads_labels_only_unless_the_classifier_reads_signals() {
+        use ppg_models::random_forest::{RandomForest, RandomForestConfig};
+
+        let zoo = ModelZoo::paper_setup();
+        let profiler = Profiler::new(&zoo);
+        let oracle = OracleActivityClassifier::new();
+        assert_eq!(profiler.demand(&oracle), WindowDemand::Labels);
+        let rf = RandomForest::train(&windows(), RandomForestConfig::default()).unwrap();
+        assert_eq!(profiler.demand(&rf), WindowDemand::Signals);
+
+        let labels = DatasetBuilder::new()
+            .subjects(2)
+            .seconds_per_activity(24.0)
+            .seed(21)
+            .demand(profiler.demand(&oracle))
+            .window_stream()
+            .unwrap();
+        assert_eq!(
+            profiler
+                .profile_all(labels, ProfilingOptions::default())
+                .unwrap(),
+            profiler
+                .profile_all(windows(), ProfilingOptions::default())
+                .unwrap()
+        );
     }
 
     #[test]

@@ -19,13 +19,13 @@ use std::collections::BTreeMap;
 use hw_sim::ble::ConnectionSchedule;
 use hw_sim::power_state::{PowerState, PowerStateTrace};
 use hw_sim::units::{Energy, TimeSpan};
-use ppg_data::{IntoWindowSource, WindowSource};
+use ppg_data::{Activity, IntoWindowSource, WindowDemand, WindowSource};
 use ppg_dsp::stats::ErrorAccumulator;
 use ppg_models::traits::{ActivityClassifier, HrEstimator, OracleActivityClassifier};
 use ppg_models::zoo::{ModelKind, ModelZoo};
 use serde::{Deserialize, Serialize};
 
-use crate::config::EnergyAccounting;
+use crate::config::{Configuration, EnergyAccounting};
 use crate::decision::{ConnectionStatus, DecisionEngine, UserConstraint};
 use crate::error::ChrisError;
 use crate::profiling::Profiler;
@@ -132,6 +132,18 @@ impl ChrisRuntime {
         self.options
     }
 
+    /// What [`ChrisRuntime::run`] reads of each window: the union of its
+    /// classifier's and estimators' declared demands. Open the window stream
+    /// with it (`DatasetBuilder::demand`) to skip synthesizing signals no
+    /// consumer reads.
+    pub fn demand(&self) -> WindowDemand {
+        self.estimators
+            .values()
+            .fold(self.classifier.demand(), |demand, estimator| {
+                demand.union(estimator.demand())
+            })
+    }
+
     /// Runs CHRIS over a sequence of windows under a user constraint and a
     /// BLE connection schedule, returning the aggregated report.
     ///
@@ -166,13 +178,17 @@ impl ChrisRuntime {
         let instruments = crate::metrics::RunInstruments::resolve();
 
         let mut errors = ErrorAccumulator::new();
-        let mut per_activity: BTreeMap<String, ErrorAccumulator> = BTreeMap::new();
+        let mut per_activity: [Option<ErrorAccumulator>; Activity::COUNT] = Default::default();
         let mut trace = PowerStateTrace::new();
         let mut phone_energy = Energy::ZERO;
         let mut offloaded = 0usize;
         let mut simple = 0usize;
         let mut disconnected = 0usize;
         let mut report = RunReport::default();
+        // The selection depends only on the constraint and the link status,
+        // so it is made once per status, with the windows run under it
+        // counted into the usage table at the end.
+        let mut selections: [Option<(Configuration, usize)>; 2] = [None, None];
 
         let mut index = 0usize;
         // By-reference internal iteration: buffer-backed sources visit their
@@ -182,10 +198,16 @@ impl ChrisRuntime {
             if !connected {
                 disconnected += 1;
             }
-            let status = ConnectionStatus::from_connected(connected);
-            let profile = self.engine.select_or_closest(constraint, status)?;
-            let configuration = profile.configuration;
-            report.record_configuration(&configuration, 1);
+            let (configuration, used) = match &mut selections[usize::from(connected)] {
+                Some(selection) => selection,
+                unselected => {
+                    let status = ConnectionStatus::from_connected(connected);
+                    let profile = self.engine.select_or_closest(constraint, status)?;
+                    unselected.insert((profile.configuration, 0))
+                }
+            };
+            *used += 1;
+            let configuration = *configuration;
 
             let predicted_activity = {
                 let _timer = instruments.time_classify();
@@ -209,9 +231,8 @@ impl ChrisRuntime {
                 estimator.predict(window)?
             };
             errors.record(prediction, window.hr_bpm);
-            per_activity
-                .entry(window.activity.name().to_string())
-                .or_default()
+            per_activity[window.activity.index()]
+                .get_or_insert_with(ErrorAccumulator::new)
                 .record(prediction, window.hr_bpm);
 
             // Energy accounting for this window.
@@ -249,6 +270,9 @@ impl ChrisRuntime {
         if n == 0 {
             return Err(ChrisError::EmptyWorkload);
         }
+        for (configuration, windows) in selections.into_iter().flatten() {
+            report.record_configuration(&configuration, windows);
+        }
         let total_watch = trace.total_energy();
         report.windows = n;
         report.mae_bpm = errors.mae().unwrap_or(0.0);
@@ -265,9 +289,12 @@ impl ChrisRuntime {
             .into_iter()
             .map(|(state, energy)| (state.name().to_string(), energy))
             .collect();
-        report.per_activity_mae = per_activity
+        report.per_activity_mae = Activity::ALL
             .into_iter()
-            .map(|(activity, acc)| (activity, acc.mae().unwrap_or(0.0)))
+            .zip(per_activity)
+            .filter_map(|(activity, acc)| {
+                Some((activity.name().to_string(), acc?.mae().unwrap_or(0.0)))
+            })
             .collect();
         Ok(report)
     }
@@ -536,6 +563,44 @@ mod tests {
         let streamed = stream_rt.run(stream, &constraint, &schedule).unwrap();
         assert_eq!(eager, streamed);
         assert_eq!(streamed.windows, windows.len());
+    }
+
+    #[test]
+    fn label_only_runs_match_full_runs_and_signal_readers_get_a_typed_error() {
+        use ppg_data::WindowDemand;
+        use ppg_models::ModelError;
+
+        let builder = || {
+            DatasetBuilder::new()
+                .subjects(2)
+                .seconds_per_activity(24.0)
+                .seed(43)
+        };
+        let windows = builder().build().unwrap().windows();
+        let engine = engine_for(&windows);
+        let zoo = ModelZoo::paper_setup();
+        let constraint = UserConstraint::MaxMae(5.6);
+        let schedule = ConnectionSchedule::DutyCycle { up: 5, down: 2 };
+
+        let mut oracle = ChrisRuntime::new(zoo.clone(), engine.clone(), RuntimeOptions::default());
+        assert_eq!(oracle.demand(), WindowDemand::Labels);
+        let full = oracle.run(&windows, &constraint, &schedule).unwrap();
+        let mut oracle = ChrisRuntime::new(zoo.clone(), engine.clone(), RuntimeOptions::default());
+        let labels = builder().demand(oracle.demand()).window_stream().unwrap();
+        assert_eq!(oracle.run(labels, &constraint, &schedule).unwrap(), full);
+
+        let rf = RandomForest::train(&windows, RandomForestConfig::default()).unwrap();
+        let mut rf_rt =
+            ChrisRuntime::with_classifier(zoo, engine, Box::new(rf), RuntimeOptions::default());
+        assert_eq!(rf_rt.demand(), WindowDemand::Signals);
+        let labels = builder()
+            .demand(WindowDemand::Labels)
+            .window_stream()
+            .unwrap();
+        assert!(matches!(
+            rf_rt.run(labels, &constraint, &schedule),
+            Err(ChrisError::Model(ModelError::MissingSignals { .. }))
+        ));
     }
 
     #[test]

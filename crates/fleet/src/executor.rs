@@ -169,8 +169,9 @@ pub const DEFAULT_PROFILE_CACHE_CAPACITY: usize = 256;
 pub struct ExecutorOptions {
     /// Worker thread count; `0` means one worker per available core.
     pub threads: usize,
-    /// Devices claimed per queue pop. Larger chunks amortize contention,
-    /// smaller chunks balance better when device workloads differ.
+    /// Most devices claimed per queue pop. Larger chunks amortize
+    /// contention, smaller chunks balance better when device workloads
+    /// differ; near the end of the supply claims shrink to single devices.
     pub chunk_size: usize,
     /// Per-worker profiling-window cache: `None` disables memoization
     /// entirely, `Some(capacity)` gives every worker thread its own
@@ -218,11 +219,14 @@ impl ExecutorOptions {
 /// Each call owns a fresh [`ChrisRuntime`] built from clones of the shared
 /// zoo and engine, which is what lets workers run devices concurrently
 /// without sharing mutable state. The session is never materialized: the
-/// runtime pulls windows one at a time from
-/// [`DeviceScenario::window_stream`], so peak per-device memory is one
-/// activity segment plus one window instead of the whole session vector
-/// (asserted by the `streaming` integration test via
-/// [`ppg_data::stream::metrics`]).
+/// runtime pulls windows one at a time from the device's synthesis stream,
+/// so peak per-device memory is one activity segment plus one window instead
+/// of the whole session vector (asserted by the `streaming` integration test
+/// via [`ppg_data::stream::metrics`]). The stream is opened with the
+/// runtime's [`ChrisRuntime::demand`]: the fleet's oracle classifier and
+/// calibrated estimators read labels only, so no PPG or accelerometer is
+/// synthesized, and the report is byte-identical to a run over
+/// [`DeviceScenario::window_stream`].
 ///
 /// # Errors
 ///
@@ -252,9 +256,10 @@ pub fn simulate_device_with_progress(
 }
 
 /// [`simulate_device`] with a [`WindowCache`]: the device's windows come
-/// through [`DeviceScenario::cached_window_stream`], so a cache hit replays
-/// an earlier device's synthesized session instead of re-running the
-/// synthesizers. The report is byte-identical to the uncached path.
+/// through the cache, keyed like [`DeviceScenario::window_cache_key`] plus
+/// the runtime's demand, so a cache hit replays an earlier device's
+/// synthesized session instead of re-running the synthesizers. The report is
+/// byte-identical to the uncached path.
 ///
 /// The cache is `&mut` by design — the executor keeps one per worker thread
 /// (lock-free) and merges the counters afterwards.
@@ -304,22 +309,36 @@ fn simulate_device_inner(
     sink: Option<&dyn ProgressSink>,
     cache: Option<&mut WindowCache>,
 ) -> Result<DeviceReport, FleetError> {
-    let for_device = |e: FleetError| FleetError::for_device(scenario.device_id, e);
     let options = RuntimeOptions {
         accounting: scenario.accounting,
         seed: scenario.dataset_seed,
         ..RuntimeOptions::default()
     };
-    let mut runtime = ChrisRuntime::new(zoo.clone(), engine.clone(), options);
+    let runtime = ChrisRuntime::new(zoo.clone(), engine.clone(), options);
+    simulate_with_runtime(scenario, runtime, sink, cache)
+}
+
+/// Runs one device's windows through `runtime` and assembles its report.
+/// The windows are synthesized for the runtime's [`ChrisRuntime::demand`],
+/// so a runtime whose classifier or estimators read signals gets full
+/// windows, and one that reads labels only gets label-only windows.
+fn simulate_with_runtime(
+    scenario: &DeviceScenario,
+    mut runtime: ChrisRuntime,
+    sink: Option<&dyn ProgressSink>,
+    cache: Option<&mut WindowCache>,
+) -> Result<DeviceReport, FleetError> {
+    let for_device = |e: FleetError| FleetError::for_device(scenario.device_id, e);
+    let builder = scenario.dataset_builder().demand(runtime.demand());
     let run = match cache {
         Some(cache) => {
-            let stream = scenario
+            let stream = builder
                 .cached_window_stream(cache)
                 .map_err(|e| for_device(e.into()))?;
             run_windows(&mut runtime, stream, scenario, sink)
         }
         None => {
-            let stream = scenario.window_stream().map_err(|e| for_device(e.into()))?;
+            let stream = builder.window_stream().map_err(|e| for_device(e.into()))?;
             run_windows(&mut runtime, stream, scenario, sink)
         }
     }
@@ -581,6 +600,13 @@ fn run_supply(
 /// The multi-worker arm of [`run_supply`]: scoped threads over an atomic
 /// chunk cursor, one private [`WindowCache`] and [`telemetry::Registry`] per
 /// worker, both folded into the shared `batch` exactly once at worker exit.
+///
+/// The calling thread runs one of the workers and spawns only
+/// `threads - 1`, so a run never has more runnable threads than workers.
+/// With a caller that spawns `threads` workers and blocks in the join, the
+/// scheduler can start two workers on one CPU and leave them there until it
+/// rebalances: on a 2-vCPU VM that cost a few milliseconds in some 50 ms
+/// runs and none in others.
 #[allow(clippy::too_many_arguments)]
 fn run_supply_parallel(
     supply: &ScenarioSupply<'_>,
@@ -598,41 +624,45 @@ fn run_supply_parallel(
     let collected: Mutex<Vec<(u64, Result<DeviceReport, FleetError>)>> =
         Mutex::new(Vec::with_capacity(capacity));
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // One cache and one registry per worker: no synchronization
-                // on the hot path, and counters merge once at worker exit.
-                let worker = telemetry::Registry::new();
-                let _scope = telemetry::scoped(&worker);
-                let mut cache = profile_cache.map(WindowCache::new);
-                let mut local = Vec::new();
-                // Compare-exchange claims instead of `fetch_add`: the cursor
-                // never moves past `count`, so id ranges near `u64::MAX`
-                // cannot overflow it.
-                'claims: while let Some(claimed) = claim_chunk(&cursor, count, chunk) {
-                    for index in claimed {
-                        if cancel_requested(sink) {
-                            break 'claims;
-                        }
-                        local.push((
-                            index,
-                            simulate_index(supply, index, zoo, engine, sink, cache.as_mut()),
-                        ));
-                    }
+    let worker = || {
+        // One cache and one registry per worker: no synchronization on the
+        // hot path, and counters merge once at worker exit.
+        let registry = telemetry::Registry::new();
+        let _scope = telemetry::scoped(&registry);
+        let mut cache = profile_cache.map(WindowCache::new);
+        let mut local = Vec::new();
+        // Compare-exchange claims instead of `fetch_add`: the cursor never
+        // moves past `count`, so id ranges near `u64::MAX` cannot overflow
+        // it.
+        'claims: while let Some(claimed) =
+            claim_chunk(&cursor, count, guided_chunk(&cursor, count, threads, chunk))
+        {
+            for index in claimed {
+                if cancel_requested(sink) {
+                    break 'claims;
                 }
-                if let Some(cache) = &cache {
-                    record_cache_events(&worker, cache);
-                }
-                batch
-                    .absorb(&worker.snapshot())
-                    .expect("worker series are self-consistent across registries");
-                collected
-                    .lock()
-                    .expect("no worker panics while holding the results lock")
-                    .extend(local);
-            });
+                local.push((
+                    index,
+                    simulate_index(supply, index, zoo, engine, sink, cache.as_mut()),
+                ));
+            }
         }
+        if let Some(cache) = &cache {
+            record_cache_events(&registry, cache);
+        }
+        batch
+            .absorb(&registry.snapshot())
+            .expect("worker series are self-consistent across registries");
+        collected
+            .lock()
+            .expect("no worker panics while holding the results lock")
+            .extend(local);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(worker);
+        }
+        worker();
     });
 
     let mut merged = collected
@@ -657,6 +687,17 @@ fn run_supply_parallel(
 /// devices, so cancellation lands on a device boundary.
 fn cancel_requested(sink: Option<&dyn ProgressSink>) -> bool {
     sink.is_some_and(ProgressSink::should_cancel)
+}
+
+/// The size of a worker's next claim: `max` while at least `4 * max` items
+/// per worker remain, then shrinking to single items, so the workers run
+/// out of work within about one item of each other instead of one waiting
+/// for the other's last full chunk. The read is advisory: any size of at
+/// least one keeps [`claim_chunk`]'s tiling.
+fn guided_chunk(cursor: &AtomicU64, count: u64, threads: usize, max: u64) -> u64 {
+    // relaxed: only sizes the claim; the CAS in `claim_chunk` partitions.
+    let remaining = count.saturating_sub(cursor.load(Ordering::Relaxed));
+    (remaining / (threads as u64 * 4)).clamp(1, max)
 }
 
 /// Claims the next chunk of work-item indices, or `None` when the supply is
@@ -708,6 +749,58 @@ mod tests {
                 .profile_all(&windows, ProfilingOptions::default())
                 .unwrap(),
         )
+    }
+
+    #[test]
+    fn signal_reading_runtimes_still_receive_full_windows() {
+        use ppg_data::WindowDemand;
+        use ppg_models::random_forest::{RandomForest, RandomForestConfig};
+
+        let zoo = ModelZoo::paper_setup();
+        let engine = shared_engine(&zoo);
+        let training = DatasetBuilder::new()
+            .subjects(1)
+            .seconds_per_activity(16.0)
+            .seed(1)
+            .build()
+            .unwrap()
+            .windows();
+        let rf = RandomForest::train(&training, RandomForestConfig::default()).unwrap();
+        let scenario = ScenarioGenerator::new(9, ScenarioMix::balanced()).scenario(2);
+        let options = RuntimeOptions {
+            accounting: scenario.accounting,
+            seed: scenario.dataset_seed,
+            ..RuntimeOptions::default()
+        };
+        let runtime = || {
+            ChrisRuntime::with_classifier(
+                zoo.clone(),
+                engine.clone(),
+                Box::new(rf.clone()),
+                options,
+            )
+        };
+        assert_eq!(runtime().demand(), WindowDemand::Signals);
+        // The forest rejects label-only windows with a typed error, so a
+        // successful run shows the executor synthesized full windows.
+        let expected = runtime()
+            .run(
+                scenario.window_stream().unwrap(),
+                &scenario.constraint,
+                &scenario.schedule,
+            )
+            .unwrap();
+        let mut cache = WindowCache::new(4);
+        // A label-only entry for the same scenario, filled by the default
+        // runtime, must not be replayed to the forest.
+        simulate_device_cached(&scenario, &zoo, &engine, &mut cache, None).unwrap();
+        for cache in [None, Some(&mut cache)] {
+            let report = simulate_with_runtime(&scenario, runtime(), None, cache).unwrap();
+            assert_eq!(report.windows, expected.windows);
+            assert_eq!(report.mae_bpm.to_bits(), expected.mae_bpm.to_bits());
+            assert_eq!(report.avg_watch_energy, expected.avg_watch_energy);
+        }
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
     }
 
     #[test]
@@ -819,6 +912,21 @@ mod tests {
             Some(u64::MAX - 3..u64::MAX)
         );
         assert!(claim_chunk(&cursor, u64::MAX, 8).is_none());
+
+        // Guided sizes: full chunks while work is plentiful, single devices
+        // once fewer than `8 * threads` remain, and the claims still tile.
+        let cursor = AtomicU64::new(0);
+        let mut sizes = Vec::new();
+        while let Some(range) = claim_chunk(&cursor, 100, guided_chunk(&cursor, 100, 2, 8)) {
+            sizes.push(range.end - range.start);
+        }
+        assert_eq!(sizes.iter().sum::<u64>(), 100);
+        assert_eq!(sizes.first(), Some(&8));
+        assert!(sizes.windows(2).all(|pair| pair[1] <= pair[0]));
+        assert_eq!(
+            sizes.iter().rev().take_while(|&&size| size == 1).count(),
+            15
+        );
     }
 
     #[test]

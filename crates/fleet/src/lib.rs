@@ -93,8 +93,9 @@ pub use scenario::{DeviceScenario, ScenarioGenerator, ScenarioMix};
 pub use shard::{ShardMeta, ShardProvenance, ShardReport, ShardSpec, ENGINE_VERSION};
 pub use sketch::{QuantileSketch, DEFAULT_SKETCH_CAPACITY};
 
-use chris_core::{DecisionEngine, Profiler, ProfilingOptions};
+use chris_core::{ConfigurationProfile, DecisionEngine, Profiler, ProfilingOptions};
 use ppg_data::DatasetBuilder;
+use ppg_models::traits::{ActivityClassifier, OracleActivityClassifier};
 use ppg_models::zoo::ModelZoo;
 use telemetry::MetricsSnapshot;
 
@@ -142,21 +143,32 @@ impl FleetSimulation {
     /// Returns [`FleetError`] when profiling the configuration table fails.
     pub fn new(master_seed: u64, mix: ScenarioMix) -> Result<Self, FleetError> {
         let zoo = ModelZoo::paper_setup();
-        // The profiling dataset is streamed straight into the profiler:
-        // windows are buffered once for the multi-pass table build, but the
-        // raw recordings never materialize.
-        let profiling_stream = DatasetBuilder::new()
-            .subjects(Self::PROFILING_SUBJECTS)
-            .seconds_per_activity(Self::PROFILING_SECONDS_PER_ACTIVITY)
-            .seed(master_seed)
-            .window_stream()?;
-        let profiler = Profiler::new(&zoo);
-        let table = profiler.profile_all(profiling_stream, ProfilingOptions::default())?;
+        let table = Self::profile_table(&zoo, master_seed, &OracleActivityClassifier::new())?;
         Ok(Self {
             generator: ScenarioGenerator::new(master_seed, mix),
             zoo,
             engine: DecisionEngine::new(table),
         })
+    }
+
+    /// Profiles the configuration table on the profiling dataset of
+    /// `master_seed` with `classifier`. The profiling dataset is streamed
+    /// straight into the profiler, synthesized for what the profiler reads
+    /// ([`Profiler::demand`]): windows are buffered once for the multi-pass
+    /// table build, but the raw recordings never materialize.
+    fn profile_table(
+        zoo: &ModelZoo,
+        master_seed: u64,
+        classifier: &dyn ActivityClassifier,
+    ) -> Result<Vec<ConfigurationProfile>, FleetError> {
+        let profiler = Profiler::new(zoo);
+        let profiling_stream = DatasetBuilder::new()
+            .subjects(Self::PROFILING_SUBJECTS)
+            .seconds_per_activity(Self::PROFILING_SECONDS_PER_ACTIVITY)
+            .seed(master_seed)
+            .demand(profiler.demand(classifier))
+            .window_stream()?;
+        Ok(profiler.profile_all_with(profiling_stream, classifier, ProfilingOptions::default())?)
     }
 
     /// The scenario generator backing this simulation.
@@ -342,5 +354,43 @@ impl FleetSimulation {
             devices,
             telemetry: run_registry.snapshot_stable(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ppg_models::random_forest::{RandomForest, RandomForestConfig};
+
+    fn profiling_builder(seed: u64) -> DatasetBuilder {
+        DatasetBuilder::new()
+            .subjects(FleetSimulation::PROFILING_SUBJECTS)
+            .seconds_per_activity(FleetSimulation::PROFILING_SECONDS_PER_ACTIVITY)
+            .seed(seed)
+    }
+
+    #[test]
+    fn profiling_synthesizes_what_the_classifier_reads() {
+        let zoo = ModelZoo::paper_setup();
+        let profiler = Profiler::new(&zoo);
+        let options = ProfilingOptions::default();
+        let full = || profiling_builder(42).window_stream().unwrap();
+
+        // The oracle reads labels only: the label-only table equals the
+        // table profiled on full windows.
+        let oracle = OracleActivityClassifier::new();
+        assert_eq!(
+            FleetSimulation::profile_table(&zoo, 42, &oracle).unwrap(),
+            profiler.profile_all(full(), options).unwrap()
+        );
+
+        // A forest reads the accelerometer; it rejects label-only windows,
+        // so matching the full-window table shows it was given full windows.
+        let training = profiling_builder(7).build().unwrap().windows();
+        let rf = RandomForest::train(&training, RandomForestConfig::default()).unwrap();
+        assert_eq!(
+            FleetSimulation::profile_table(&zoo, 42, &rf).unwrap(),
+            profiler.profile_all_with(full(), &rf, options).unwrap()
+        );
     }
 }

@@ -192,8 +192,9 @@ impl DeviceScenario {
 
     /// The dataset builder describing this device's session — the one place
     /// the scenario's synthesis parameters become builder state, shared by
-    /// the streaming, cached and key-derivation paths.
-    fn dataset_builder(&self) -> DatasetBuilder {
+    /// the streaming, cached and key-derivation paths and by the executor,
+    /// which adds its runtime's demand.
+    pub(crate) fn dataset_builder(&self) -> DatasetBuilder {
         DatasetBuilder::new()
             .subjects(1)
             .seconds_per_activity(self.seconds_per_activity)

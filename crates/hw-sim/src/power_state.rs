@@ -3,9 +3,9 @@
 //! The paper's Fig. 3 decomposes the smartwatch cost of one prediction into
 //! compute energy (including idle between predictions), phone compute energy
 //! and BLE transmission energy. [`PowerStateTrace`] records that decomposition
-//! explicitly: the CHRIS runtime appends one [`PowerStatePhase`] per activity
-//! of the MCU (sensor acquisition, local compute, radio transmission, sleep)
-//! and the reporting layer aggregates per-state totals.
+//! explicitly: the CHRIS runtime pushes one phase per activity of the MCU
+//! (sensor acquisition, local compute, radio transmission, sleep) and the
+//! reporting layer reads the per-state totals.
 
 use std::collections::BTreeMap;
 
@@ -45,6 +45,11 @@ impl PowerState {
             PowerState::Sleep => "sleep",
         }
     }
+
+    /// Position in [`PowerState::ALL`].
+    fn index(self) -> usize {
+        self as usize
+    }
 }
 
 impl std::fmt::Display for PowerState {
@@ -53,21 +58,19 @@ impl std::fmt::Display for PowerState {
     }
 }
 
-/// One contiguous phase spent in a power state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PowerStatePhase {
-    /// The state the device was in.
-    pub state: PowerState,
-    /// How long it stayed there.
-    pub duration: TimeSpan,
-    /// Energy consumed during the phase.
-    pub energy: Energy,
-}
-
-/// A sequence of power-state phases plus per-state aggregates.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Per-state and total running sums over pushed power-state phases.
+///
+/// Memory is constant however many phases are pushed. Every sum starts at
+/// zero and adds phases in push order, so each total is bit-identical to
+/// summing a recorded phase log afterwards.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PowerStateTrace {
-    phases: Vec<PowerStatePhase>,
+    /// Energy per state, indexed like [`PowerState::ALL`]; `None` for a
+    /// state no phase entered.
+    energy: [Option<Energy>; 4],
+    total_energy: Energy,
+    total_duration: TimeSpan,
+    phases: usize,
 }
 
 impl PowerStateTrace {
@@ -76,66 +79,50 @@ impl PowerStateTrace {
         Self::default()
     }
 
-    /// Appends a phase with an explicit energy.
+    /// Adds a phase with an explicit energy.
     pub fn push(&mut self, state: PowerState, duration: TimeSpan, energy: Energy) {
-        self.phases.push(PowerStatePhase {
-            state,
-            duration,
-            energy,
-        });
+        *self.energy[state.index()].get_or_insert(Energy::ZERO) += energy;
+        self.total_energy += energy;
+        self.total_duration += duration;
+        self.phases += 1;
     }
 
-    /// Appends a phase whose energy is `power × duration`.
+    /// Adds a phase whose energy is `power × duration`.
     pub fn push_at_power(&mut self, state: PowerState, duration: TimeSpan, power: Power) {
         self.push(state, duration, power * duration);
     }
 
-    /// All recorded phases, in insertion order.
-    pub fn phases(&self) -> &[PowerStatePhase] {
-        &self.phases
-    }
-
-    /// Number of phases.
+    /// Number of phases pushed.
     pub fn len(&self) -> usize {
-        self.phases.len()
+        self.phases
     }
 
-    /// Whether no phase has been recorded.
+    /// Whether no phase has been pushed.
     pub fn is_empty(&self) -> bool {
-        self.phases.is_empty()
+        self.phases == 0
     }
 
     /// Total energy across all phases.
     pub fn total_energy(&self) -> Energy {
-        self.phases.iter().map(|p| p.energy).sum()
+        self.total_energy
     }
 
     /// Total duration across all phases.
     pub fn total_duration(&self) -> TimeSpan {
-        self.phases.iter().map(|p| p.duration).sum()
+        self.total_duration
     }
 
     /// Energy spent in one state.
     pub fn energy_in(&self, state: PowerState) -> Energy {
-        self.phases
-            .iter()
-            .filter(|p| p.state == state)
-            .map(|p| p.energy)
-            .sum()
+        self.energy[state.index()].unwrap_or(Energy::ZERO)
     }
 
-    /// Per-state energy breakdown, keyed by state.
+    /// Per-state energy breakdown over the states some phase entered.
     pub fn breakdown(&self) -> BTreeMap<PowerState, Energy> {
-        let mut map = BTreeMap::new();
-        for p in &self.phases {
-            *map.entry(p.state).or_insert(Energy::ZERO) += p.energy;
-        }
-        map
-    }
-
-    /// Merges another trace into this one (phases are appended).
-    pub fn merge(&mut self, other: &PowerStateTrace) {
-        self.phases.extend_from_slice(&other.phases);
+        PowerState::ALL
+            .into_iter()
+            .filter_map(|state| Some((state, self.energy[state.index()]?)))
+            .collect()
     }
 }
 
@@ -209,22 +196,36 @@ mod tests {
     }
 
     #[test]
-    fn merge_appends_phases() {
-        let mut a = PowerStateTrace::new();
-        a.push(
-            PowerState::Acquire,
-            TimeSpan::from_millis(1.0),
-            Energy::from_microjoules(5.0),
-        );
-        let mut b = PowerStateTrace::new();
-        b.push(
-            PowerState::Sleep,
-            TimeSpan::from_millis(2.0),
-            Energy::from_microjoules(1.0),
-        );
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert!((a.total_energy().as_microjoules() - 6.0).abs() < 1e-9);
-        assert_eq!(a.phases()[1].state, PowerState::Sleep);
+    fn sums_equal_a_phase_log_summed_in_push_order() {
+        // Values whose f64 sums depend on the order they are added in.
+        let phases = [
+            (PowerState::Compute, 0.1),
+            (PowerState::Sleep, 1e16),
+            (PowerState::Compute, 0.2),
+            (PowerState::Sleep, -1e16),
+            (PowerState::Compute, 0.3),
+            (PowerState::Sleep, 3.0),
+        ];
+        let mut t = PowerStateTrace::new();
+        for &(state, uj) in &phases {
+            t.push(
+                state,
+                TimeSpan::from_millis(1.0),
+                Energy::from_microjoules(uj),
+            );
+        }
+        let logged = |state: Option<PowerState>| -> Energy {
+            phases
+                .iter()
+                .filter(|(s, _)| state.is_none_or(|want| *s == want))
+                .map(|&(_, uj)| Energy::from_microjoules(uj))
+                .sum()
+        };
+        assert_eq!(t.total_energy(), logged(None));
+        for state in PowerState::ALL {
+            assert_eq!(t.energy_in(state), logged(Some(state)));
+        }
+        assert_eq!(t.len(), phases.len());
+        assert!(!t.breakdown().contains_key(&PowerState::RadioTx));
     }
 }

@@ -19,7 +19,7 @@
 use rand::Rng;
 
 use crate::activity::Activity;
-use crate::noise::{ar1_noise, white_noise};
+use crate::noise::{ar1_noise, skip_standard_normals, white_noise};
 use crate::subject::SubjectProfile;
 
 /// A 3-axis accelerometer segment plus the motion envelope used to couple
@@ -84,23 +84,21 @@ pub fn accel_segment<R: Rng + ?Sized>(
         white_noise(rng, n_samples, 0.01),
     ];
 
-    // Burst schedule: each second may start a burst of 0.5..2 s.
     let mut burst_gain = vec![0.0f32; n_samples];
-    let samples_per_second = sample_rate_hz as usize;
-    let mut t = 0usize;
-    while t < n_samples {
-        if rng.random::<f32>() < burst_p {
-            let burst_len = rng.random_range(samples_per_second / 2..samples_per_second * 2);
-            let amp = rng.random_range(1.5f32..4.0);
+    draw_bursts(
+        rng,
+        burst_p,
+        n_samples,
+        sample_rate_hz,
+        |t, burst_len, amp| {
             let end = (t + burst_len).min(n_samples);
             for (k, gain) in burst_gain[t..end].iter_mut().enumerate() {
                 // Raised-cosine burst shape.
                 let frac = k as f32 / burst_len as f32;
                 *gain = gain.max(amp * (std::f32::consts::PI * frac).sin().powi(2));
             }
-        }
-        t += samples_per_second.max(1);
-    }
+        },
+    );
 
     let mut seg = AccelSegment {
         x: Vec::with_capacity(n_samples),
@@ -145,6 +143,60 @@ pub fn accel_segment<R: Rng + ?Sized>(
             .push(envelope * subject.artifact_susceptibility);
     }
     seg
+}
+
+/// Burst schedule: each second may start a burst of 0.5..2 s. Calls
+/// `on_burst(start, length, amplitude)` for every burst drawn. The one place
+/// the schedule is drawn, so [`accel_segment`] and
+/// [`replay_accel_draws`] cannot disagree on its draws: how many there are
+/// depends on the values drawn.
+fn draw_bursts<R: Rng + ?Sized>(
+    rng: &mut R,
+    burst_p: f32,
+    n_samples: usize,
+    sample_rate_hz: f32,
+    mut on_burst: impl FnMut(usize, usize, f32),
+) {
+    let samples_per_second = sample_rate_hz as usize;
+    let mut t = 0usize;
+    while t < n_samples {
+        if rng.random::<f32>() < burst_p {
+            let burst_len = rng.random_range(samples_per_second / 2..samples_per_second * 2);
+            let amp = rng.random_range(1.5f32..4.0);
+            on_burst(t, burst_len, amp);
+        }
+        t += samples_per_second.max(1);
+    }
+}
+
+/// Advances `rng` exactly as [`accel_segment`] with the same arguments
+/// would, drawing the same values in the same order without computing the
+/// segment. Label-only synthesis calls it so the PPG and the following
+/// activities see the RNG state the full synthesis leaves.
+pub(crate) fn replay_accel_draws<R: Rng + ?Sized>(
+    rng: &mut R,
+    activity: Activity,
+    n_samples: usize,
+    sample_rate_hz: f32,
+) {
+    if n_samples == 0 {
+        return;
+    }
+    // Pose X and Y: two AR(1) processes.
+    skip_standard_normals(rng, 2 * (n_samples + 1));
+    for _ in 0..3 {
+        let _ = rng.random_range(0.0..std::f32::consts::TAU);
+    }
+    // Cadence jitter and aperiodic envelope (AR(1)), then three axes of
+    // white sensor noise.
+    skip_standard_normals(rng, 2 * (n_samples + 1) + 3 * n_samples);
+    draw_bursts(
+        rng,
+        activity.burst_probability(),
+        n_samples,
+        sample_rate_hz,
+        |_, _, _| {},
+    );
 }
 
 #[cfg(test)]
@@ -253,6 +305,26 @@ mod tests {
         let b = accel_segment(&mut rng_b, &robust, Activity::Walking, 32 * 30, 32.0);
         let sum = |v: &[f32]| v.iter().sum::<f32>();
         assert!(sum(&a.motion_envelope) > sum(&b.motion_envelope));
+    }
+
+    #[test]
+    fn replay_leaves_the_rng_where_synthesis_does() {
+        // Every activity, burst-heavy `TableSoccer` and `Lunch` included,
+        // over lengths that end mid-second and mid-burst.
+        for (i, activity) in Activity::ALL.into_iter().enumerate() {
+            for (seed, n) in [(1u64, 1usize), (2, 47), (3, 256), (4, 32 * 45 + 7)] {
+                let mut real = StdRng::seed_from_u64(seed * 100 + i as u64);
+                let mut replay = real.clone();
+                let _ = accel_segment(&mut real, &subject(), activity, n, 32.0);
+                replay_accel_draws(&mut replay, activity, n, 32.0);
+                assert_eq!(real, replay, "{activity:?} over {n} samples");
+            }
+        }
+        let mut real = StdRng::seed_from_u64(9);
+        let mut replay = real.clone();
+        let _ = accel_segment(&mut real, &subject(), Activity::Lunch, 0, 32.0);
+        replay_accel_draws(&mut replay, Activity::Lunch, 0, 32.0);
+        assert_eq!(real, replay);
     }
 
     #[test]

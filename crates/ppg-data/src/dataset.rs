@@ -9,15 +9,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::accel_synth::accel_segment;
+use crate::accel_synth::{accel_segment, replay_accel_draws, AccelSegment};
 use crate::activity::Activity;
 use crate::error::DataError;
 use crate::hr_profile::{hr_trajectory, window_mean_hr};
-use crate::ppg_synth::ppg_segment;
+use crate::ppg_synth::{ppg_segment, replay_ppg_draws};
 use crate::stream::cache::{MaybeCachedWindows, WindowCache, WindowCacheKey};
 use crate::stream::{self, DatasetWindows, RecordingWindows, SynthWindows, WindowSource};
 use crate::subject::{SubjectId, SubjectProfile};
-use crate::window::LabeledWindow;
+use crate::window::{LabeledWindow, WindowDemand};
 use crate::{FULL_SUBJECT_COUNT, SAMPLE_RATE_HZ, WINDOW_SAMPLES};
 
 /// Synthesizes one subject/activity recording by chaining the HR trajectory,
@@ -25,17 +25,33 @@ use crate::{FULL_SUBJECT_COUNT, SAMPLE_RATE_HZ, WINDOW_SAMPLES};
 /// activities so schedules chain canonically. Shared by the eager
 /// [`DatasetBuilder::build`] and the lazy [`SynthWindows`] stream — the two
 /// paths must stay bit-identical.
+///
+/// For [`WindowDemand::Labels`] the heart-rate trajectory is computed as
+/// always, and the accelerometer and PPG draws are replayed without
+/// computing those channels: `rng` ends in the same state either way, so the
+/// labels of this and every later recording are unchanged.
 pub(crate) fn synthesize_recording(
     rng: &mut StdRng,
     profile: &SubjectProfile,
     activity: Activity,
     samples: usize,
     last_hr: &mut f32,
+    demand: WindowDemand,
 ) -> SessionRecording {
     let hr = hr_trajectory(rng, profile, activity, samples, SAMPLE_RATE_HZ, *last_hr);
     *last_hr = *hr.last().expect("non-empty trajectory");
-    let accel = accel_segment(rng, profile, activity, samples, SAMPLE_RATE_HZ);
-    let ppg = ppg_segment(rng, profile, &hr, &accel.motion_envelope, SAMPLE_RATE_HZ);
+    let (accel, ppg) = match demand {
+        WindowDemand::Labels => {
+            replay_accel_draws(rng, activity, samples, SAMPLE_RATE_HZ);
+            replay_ppg_draws(rng, samples);
+            (AccelSegment::default(), Vec::new())
+        }
+        WindowDemand::Signals => {
+            let accel = accel_segment(rng, profile, activity, samples, SAMPLE_RATE_HZ);
+            let ppg = ppg_segment(rng, profile, &hr, &accel.motion_envelope, SAMPLE_RATE_HZ);
+            (accel, ppg)
+        }
+    };
     SessionRecording {
         subject: profile.id,
         activity,
@@ -49,6 +65,9 @@ pub(crate) fn synthesize_recording(
 }
 
 /// A continuous recording of one subject performing one activity.
+///
+/// A label-only recording ([`WindowDemand::Labels`]) holds the heart-rate
+/// trajectory only; its signal channels are empty.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionRecording {
     /// Subject recorded.
@@ -70,33 +89,53 @@ pub struct SessionRecording {
 }
 
 impl SessionRecording {
-    /// Number of samples in the recording.
+    /// Number of samples in the recording (the length of its heart-rate
+    /// trajectory, which every recording carries).
     pub fn len(&self) -> usize {
-        self.ppg.len()
+        self.hr_bpm.len()
     }
 
     /// Whether the recording is empty.
     pub fn is_empty(&self) -> bool {
-        self.ppg.is_empty()
+        self.hr_bpm.is_empty()
+    }
+
+    /// Whether the recording holds labels only: a trajectory but no signal
+    /// channels.
+    pub(crate) fn is_label_only(&self) -> bool {
+        self.motion_envelope.is_empty() && !self.is_empty()
     }
 
     /// Extracts the labeled window starting at sample `start`; the caller
     /// guarantees `start + WINDOW_SAMPLES <= self.len()`. The one place
     /// window extraction happens — every eager and streaming path goes
-    /// through it.
+    /// through it. A label-only recording yields label-only windows.
     pub(crate) fn window_at(&self, start: usize) -> LabeledWindow {
+        let hr_bpm = window_mean_hr(&self.hr_bpm, start, WINDOW_SAMPLES);
+        if self.is_label_only() {
+            return LabeledWindow {
+                subject: self.subject,
+                activity: self.activity,
+                hr_bpm,
+                ppg: Vec::new(),
+                accel_x: Vec::new(),
+                accel_y: Vec::new(),
+                accel_z: Vec::new(),
+                mean_motion_g: None,
+            };
+        }
         let end = start + WINDOW_SAMPLES;
         let mean_motion =
             self.motion_envelope[start..end].iter().sum::<f32>() / WINDOW_SAMPLES as f32;
         LabeledWindow {
             subject: self.subject,
             activity: self.activity,
-            hr_bpm: window_mean_hr(&self.hr_bpm, start, WINDOW_SAMPLES),
+            hr_bpm,
             ppg: self.ppg[start..end].to_vec(),
             accel_x: self.accel_x[start..end].to_vec(),
             accel_y: self.accel_y[start..end].to_vec(),
             accel_z: self.accel_z[start..end].to_vec(),
-            mean_motion_g: mean_motion,
+            mean_motion_g: Some(mean_motion),
         }
     }
 
@@ -232,6 +271,7 @@ pub struct DatasetBuilder {
     seconds_per_activity: f32,
     seed: u64,
     activities: Vec<Activity>,
+    demand: WindowDemand,
 }
 
 impl Default for DatasetBuilder {
@@ -242,13 +282,15 @@ impl Default for DatasetBuilder {
 
 impl DatasetBuilder {
     /// Creates a builder with the full-dataset defaults: 15 subjects,
-    /// 150 seconds per activity, seed 0, all nine activities.
+    /// 150 seconds per activity, seed 0, all nine activities, every signal
+    /// channel synthesized.
     pub fn new() -> Self {
         Self {
             subjects: FULL_SUBJECT_COUNT,
             seconds_per_activity: 150.0,
             seed: 0,
             activities: Activity::ALL.to_vec(),
+            demand: WindowDemand::Signals,
         }
     }
 
@@ -274,6 +316,17 @@ impl DatasetBuilder {
     /// Restricts generation to a subset of activities (defaults to all nine).
     pub fn activities(mut self, activities: &[Activity]) -> Self {
         self.activities = activities.to_vec();
+        self
+    }
+
+    /// What the consumers of the generated windows read (defaults to
+    /// [`WindowDemand::Signals`]). With [`WindowDemand::Labels`] the windows
+    /// are label-only: the same subjects, activities and heart-rate bits, in
+    /// the same order and number, without synthesizing PPG or accelerometer.
+    /// Pass the consumers' declared demand, never a guess: a signal-reading
+    /// model rejects label-only windows.
+    pub fn demand(mut self, demand: WindowDemand) -> Self {
+        self.demand = demand;
         self
     }
 
@@ -320,6 +373,7 @@ impl DatasetBuilder {
             self.activities,
             samples_per_activity,
             self.seed,
+            self.demand,
         ))
     }
 
@@ -337,6 +391,7 @@ impl DatasetBuilder {
             subjects: self.subjects,
             activities: self.activities.clone(),
             samples_per_activity,
+            demand: self.demand,
         })
     }
 
@@ -386,6 +441,7 @@ impl DatasetBuilder {
                     activity,
                     samples_per_activity,
                     &mut last_hr,
+                    self.demand,
                 ));
             }
             subjects.push(profile);
@@ -403,6 +459,7 @@ impl DatasetBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small_dataset() -> Dataset {
         DatasetBuilder::new()
@@ -548,7 +605,7 @@ mod tests {
     fn recording_too_short_error() {
         let d = small_dataset();
         let mut r = d.recordings()[0].clone();
-        r.ppg.truncate(100);
+        r.hr_bpm.truncate(100);
         assert!(matches!(
             r.windows(),
             Err(DataError::RecordingTooShort { .. })
@@ -568,11 +625,52 @@ mod tests {
             let v: Vec<f32> = windows
                 .iter()
                 .filter(|w| w.activity == a)
-                .map(|w| w.mean_motion_g)
+                .map(|w| w.mean_motion_g.expect("full windows carry motion"))
                 .collect();
             v.iter().sum::<f32>() / v.len() as f32
         };
         assert!(mean_motion(Activity::TableSoccer) > mean_motion(Activity::Resting) * 3.0);
         assert!(mean_motion(Activity::Walking) > mean_motion(Activity::Sitting));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Per-subject twin of the stream-level differential test in
+        /// `tests/streaming.rs`: after every recording of the schedule, the
+        /// label-only subject RNG is in the state full synthesis leaves, and
+        /// the heart-rate trajectories agree bit for bit.
+        #[test]
+        fn label_only_synthesis_leaves_every_subject_rng_in_the_full_state(
+            seed in 0u64..u64::MAX,
+            subjects in 1usize..=3,
+            schedule in prop::collection::vec(0usize..Activity::COUNT, 1..=6),
+            seconds in 8.0f32..40.0,
+        ) {
+            let samples = DatasetBuilder::new()
+                .seconds_per_activity(seconds)
+                .validated_samples_per_activity()
+                .unwrap();
+            let mut master = StdRng::seed_from_u64(seed);
+            for idx in 0..subjects {
+                let mut full = StdRng::seed_from_u64(master.random());
+                let profile = SubjectProfile::generate(SubjectId(idx), &mut full);
+                let mut labels = full.clone();
+                let (mut full_hr, mut labels_hr) = (profile.resting_hr_bpm, profile.resting_hr_bpm);
+                for &i in &schedule {
+                    let activity = Activity::ALL[i];
+                    let a = synthesize_recording(
+                        &mut full, &profile, activity, samples, &mut full_hr, WindowDemand::Signals,
+                    );
+                    let b = synthesize_recording(
+                        &mut labels, &profile, activity, samples, &mut labels_hr, WindowDemand::Labels,
+                    );
+                    prop_assert_eq!(&full, &labels);
+                    prop_assert_eq!(&a.hr_bpm, &b.hr_bpm);
+                    prop_assert!(b.is_label_only() && b.ppg.is_empty());
+                    prop_assert!(!a.is_label_only());
+                }
+            }
+        }
     }
 }

@@ -75,7 +75,7 @@ pub use stream::{
     VecSource, WindowSource,
 };
 pub use subject::{SubjectId, SubjectProfile};
-pub use window::LabeledWindow;
+pub use window::{LabeledWindow, WindowDemand};
 
 /// Sampling rate of every synthesized stream, matching the paper's 32 Hz.
 pub const SAMPLE_RATE_HZ: f32 = ppg_dsp::SAMPLE_RATE_HZ;

@@ -16,6 +16,16 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
+/// Draws exactly the random values `count` [`standard_normal`] calls would,
+/// in the same order, without the transcendental math: the draw replay of
+/// label-only synthesis (see [`crate::WindowDemand::Labels`]).
+pub(crate) fn skip_standard_normals<R: Rng + ?Sized>(rng: &mut R, count: usize) {
+    for _ in 0..count {
+        let _: f32 = rng.random();
+        let _: f32 = rng.random();
+    }
+}
+
 /// Draws one sample from a normal distribution with the given mean and
 /// standard deviation.
 pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f32, std_dev: f32) -> f32 {
@@ -33,7 +43,8 @@ pub fn white_noise<R: Rng + ?Sized>(rng: &mut R, n: usize, std_dev: f32) -> Vec<
 /// `std_dev²` (for `|rho| < 1`).
 ///
 /// Used for smooth, band-limited random fluctuations such as heart-rate
-/// wandering and slow motion-artifact envelopes.
+/// wandering and slow motion-artifact envelopes. Draws `n + 1` standard
+/// normals: the initial state plus one innovation per sample.
 pub fn ar1_noise<R: Rng + ?Sized>(rng: &mut R, n: usize, rho: f32, std_dev: f32) -> Vec<f32> {
     let rho = rho.clamp(-0.9999, 0.9999);
     let innovation_std = std_dev * (1.0 - rho * rho).sqrt();
@@ -109,6 +120,16 @@ mod tests {
         let samples = ar1_noise(&mut rng, 100, 1.0, 1.0);
         assert_eq!(samples.len(), 100);
         assert!(samples.iter().all(|x| x.is_finite()));
+    }
+
+    #[test]
+    fn skipping_normals_replays_the_draws_of_the_noise_generators() {
+        let mut real = StdRng::seed_from_u64(10);
+        let mut replay = real.clone();
+        let _ = ar1_noise(&mut real, 37, 0.9, 1.0);
+        let _ = white_noise(&mut real, 11, 1.0);
+        skip_standard_normals(&mut replay, 37 + 1 + 11);
+        assert_eq!(real, replay);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use rand::Rng;
 
-use crate::noise::{ar1_noise, white_noise};
+use crate::noise::{ar1_noise, skip_standard_normals, white_noise};
 use crate::subject::SubjectProfile;
 
 /// Relative amplitude of the diastolic (dicrotic) bump versus the systolic peak.
@@ -95,6 +95,24 @@ pub fn ppg_segment<R: Rng + ?Sized>(
         out.push(clean[i] + wander + artifact + sensor_noise[i]);
     }
     out
+}
+
+/// Advances `rng` exactly as [`ppg_segment`] would over `n` samples, drawing
+/// the same values in the same order without computing the segment (the
+/// draw replay of label-only synthesis).
+pub(crate) fn replay_ppg_draws<R: Rng + ?Sized>(rng: &mut R, n: usize) {
+    if n == 0 {
+        return;
+    }
+    // Cardiac phase, respiratory frequency and phase, artifact frequency
+    // and phase.
+    let _ = rng.random_range(0.0..1.0f32);
+    let _ = rng.random_range(0.2..0.4f32);
+    let _ = rng.random_range(0.0..std::f32::consts::TAU);
+    let _ = rng.random_range(0.8..2.5f32);
+    let _ = rng.random_range(0.0..std::f32::consts::TAU);
+    // Baseline shift (AR(1)) and sensor noise.
+    skip_standard_normals(rng, (n + 1) + n);
 }
 
 /// Normalized single-beat waveform as a function of the cardiac phase in
@@ -203,6 +221,19 @@ mod tests {
             f * 60.0,
             mean_hr
         );
+    }
+
+    #[test]
+    fn replay_leaves_the_rng_where_synthesis_does() {
+        for (seed, n) in [(1u64, 0usize), (2, 1), (3, 256), (4, 32 * 45 + 7)] {
+            let mut real = StdRng::seed_from_u64(seed);
+            let mut replay = real.clone();
+            let hr = vec![75.0f32; n];
+            let env = vec![0.4f32; n];
+            let _ = ppg_segment(&mut real, &subject(), &hr, &env, 32.0);
+            replay_ppg_draws(&mut replay, n);
+            assert_eq!(real, replay, "{n} samples");
+        }
     }
 
     #[test]

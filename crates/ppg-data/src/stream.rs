@@ -35,6 +35,31 @@
 //! `Vec`-returning methods produced (locked in by property tests), so reports
 //! computed from a stream are byte-identical to reports computed from the
 //! eager vectors.
+//!
+//! ## Demand-driven synthesis
+//!
+//! Synthesis computes only what the stream's consumers read. Every HR
+//! estimator and activity classifier declares a [`WindowDemand`]
+//! (`ppg_models::traits::HrEstimator::demand`, defaulting to every signal
+//! channel); a runtime or profiler reports the union of its consumers', and
+//! the stream is opened with it through
+//! [`DatasetBuilder::demand`](crate::DatasetBuilder::demand). A
+//! [`WindowDemand::Labels`] stream — what the fleet's oracle classifier and
+//! calibrated estimators need — yields *label-only* windows: the same count,
+//! subjects, activities and heart-rate bits as the full stream, with empty
+//! signal channels and no `mean_motion_g`. The heart-rate trajectory is
+//! computed exactly; the accelerometer and PPG synthesizers are replaced by
+//! replays of their random draws (same values, same order, no
+//! transcendental math, no per-window channel copies), so every subject's
+//! RNG ends where the full synthesis leaves it.
+//!
+//! A new estimator or classifier must declare what it reads: keep the
+//! default (`Signals`) if it touches any sample or `mean_motion_g`, and
+//! declare `Labels` only if it reads nothing but `subject`, `activity`,
+//! `hr_bpm` and emptiness. Signal-reading models reject label-only windows
+//! with a typed error, and the cache key
+//! ([`cache::WindowCacheKey::demand`]) keeps label-only and full streams
+//! apart.
 
 pub mod cache;
 
@@ -45,7 +70,7 @@ use crate::activity::Activity;
 use crate::dataset::{synthesize_recording, Dataset, SessionRecording};
 use crate::error::DataError;
 use crate::subject::{SubjectId, SubjectProfile};
-use crate::window::LabeledWindow;
+use crate::window::{LabeledWindow, WindowDemand};
 use crate::{WINDOW_SAMPLES, WINDOW_STRIDE};
 
 /// Number of analysis windows extractable from `samples` samples with the
@@ -523,6 +548,7 @@ struct SubjectCursor {
 pub struct SynthWindows {
     activities: Vec<Activity>,
     samples_per_activity: usize,
+    demand: WindowDemand,
     subject_count: usize,
     master: StdRng,
     next_subject: usize,
@@ -536,11 +562,13 @@ impl SynthWindows {
         activities: Vec<Activity>,
         samples_per_activity: usize,
         seed: u64,
+        demand: WindowDemand,
     ) -> Self {
         let remaining = subject_count * activities.len() * window_count_for(samples_per_activity);
         Self {
             activities,
             samples_per_activity,
+            demand,
             subject_count,
             master: StdRng::seed_from_u64(seed),
             next_subject: 0,
@@ -582,6 +610,7 @@ impl WindowSource for SynthWindows {
                         activity,
                         self.samples_per_activity,
                         &mut subject.last_hr,
+                        self.demand,
                     );
                     subject.current = Some((recording, 0));
                     continue;
@@ -688,7 +717,7 @@ mod tests {
     fn recording_stream_errors_once_on_short_recordings() {
         let dataset = small_builder().build().unwrap();
         let mut recording = dataset.recordings()[0].clone();
-        recording.ppg.truncate(100);
+        recording.hr_bpm.truncate(100);
         let mut stream = recording.window_stream();
         assert_eq!(stream.size_hint(), (0, Some(0)));
         assert!(matches!(

@@ -10,7 +10,8 @@
 //! memoizes that work:
 //!
 //! * [`WindowCacheKey`] — the full synthesis input: seed, subject count,
-//!   activity schedule and per-activity sample count. Two streams with equal
+//!   activity schedule, per-activity sample count and the consumers'
+//!   [`WindowDemand`]. Two streams with equal
 //!   keys are bit-identical, so sharing the materialized windows is
 //!   observationally invisible,
 //! * [`WindowCache`] — a **bounded, deterministic LRU** from keys to
@@ -35,7 +36,7 @@ use std::sync::Arc;
 
 use crate::activity::Activity;
 use crate::error::DataError;
-use crate::window::LabeledWindow;
+use crate::window::{LabeledWindow, WindowDemand};
 
 use super::{IntoWindowSource, WindowSource};
 
@@ -51,6 +52,9 @@ pub struct WindowCacheKey {
     pub activities: Vec<Activity>,
     /// Samples generated per activity segment.
     pub samples_per_activity: usize,
+    /// What the stream's consumers read: a label-only stream is never
+    /// replayed to a lookup that needs signals, nor the reverse.
+    pub demand: WindowDemand,
 }
 
 /// A bounded, deterministic LRU cache of materialized window streams.
@@ -338,6 +342,34 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn label_only_entries_are_never_replayed_to_signal_lookups() {
+        let mut cache = WindowCache::new(4);
+        let labels = builder(5).demand(WindowDemand::Labels);
+        let signals = builder(5);
+        assert_ne!(
+            labels.window_cache_key().unwrap(),
+            signals.window_cache_key().unwrap()
+        );
+        let replayed_labels: Vec<_> = labels
+            .clone()
+            .cached_window_stream(&mut cache)
+            .unwrap()
+            .iter()
+            .map(Result::unwrap)
+            .collect();
+        assert!(replayed_labels.iter().all(LabeledWindow::is_label_only));
+        let full: Vec<_> = signals
+            .cached_window_stream(&mut cache)
+            .unwrap()
+            .iter()
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert!(full.iter().all(|w| !w.is_label_only() && !w.is_empty()));
+        assert_eq!(full, builder(5).build().unwrap().windows());
     }
 
     #[test]

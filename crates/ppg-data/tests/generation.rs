@@ -68,7 +68,7 @@ fn ppg_quality_degrades_with_activity_difficulty() {
         let values: Vec<f32> = windows
             .iter()
             .filter(|w| w.activity == activity)
-            .map(|w| w.mean_motion_g)
+            .map(|w| w.mean_motion_g.expect("full windows carry motion"))
             .collect();
         values.iter().sum::<f32>() / values.len() as f32
     };

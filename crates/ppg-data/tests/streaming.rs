@@ -4,7 +4,7 @@
 //! property that lets every downstream report stay byte-identical after the
 //! streaming redesign.
 
-use ppg_data::{Activity, DatasetBuilder, WindowSource};
+use ppg_data::{Activity, DatasetBuilder, WindowDemand, WindowSource};
 use proptest::prelude::*;
 
 /// Decodes a non-empty activity subset from a 9-bit mask.
@@ -70,6 +70,45 @@ proptest! {
             from_recordings.extend(recording.window_stream().iter().map(Result::unwrap));
         }
         prop_assert_eq!(&from_recordings, &eager);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Label-only synthesis is a differential twin of full synthesis: for
+    /// any seed, subject count, schedule (repeats and any order allowed) and
+    /// recording length, the label-only stream yields the same number of
+    /// windows with bit-identical `subject`, `activity` and `hr_bpm`, each
+    /// window label-only and not empty.
+    #[test]
+    fn label_only_stream_matches_the_full_stream_labels(
+        seed in 0u64..u64::MAX,
+        subjects in 1usize..=3,
+        schedule in prop::collection::vec(0usize..Activity::COUNT, 1..=6),
+        seconds in 8.0f32..40.0,
+    ) {
+        let activities: Vec<Activity> = schedule.iter().map(|&i| Activity::ALL[i]).collect();
+        let builder = || DatasetBuilder::new()
+            .subjects(subjects)
+            .seconds_per_activity(seconds)
+            .seed(seed)
+            .activities(&activities);
+
+        let full = builder().window_stream().unwrap();
+        let labels = builder().demand(WindowDemand::Labels).window_stream().unwrap();
+        prop_assert_eq!(labels.len(), full.len());
+        let full: Vec<_> = full.iter().map(Result::unwrap).collect();
+        let labels: Vec<_> = labels.iter().map(Result::unwrap).collect();
+        prop_assert_eq!(labels.len(), full.len());
+        for (l, f) in labels.iter().zip(&full) {
+            prop_assert_eq!(l.subject, f.subject);
+            prop_assert_eq!(l.activity, f.activity);
+            prop_assert_eq!(l.hr_bpm.to_bits(), f.hr_bpm.to_bits());
+            prop_assert!(l.is_label_only() && !l.is_empty());
+            prop_assert!(l.ppg.is_empty() && l.accel_x.is_empty());
+            prop_assert!(!f.is_label_only() && f.mean_motion_g.is_some());
+        }
     }
 }
 

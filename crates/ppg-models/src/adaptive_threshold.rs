@@ -15,7 +15,7 @@ use ppg_dsp::filter::rolling_mean;
 use ppg_dsp::peaks::{peaks_to_bpm, region_maxima, regions_above};
 
 use crate::error::ModelError;
-use crate::traits::{clamp_bpm, HrEstimator};
+use crate::traits::{clamp_bpm, require_signals, HrEstimator};
 
 /// Cycle count of one AT prediction on the STM32WB55 (paper Table III).
 pub const AT_CYCLES_STM32: u64 = 100_000;
@@ -86,6 +86,7 @@ impl HrEstimator for AdaptiveThreshold {
     }
 
     fn predict(&mut self, window: &LabeledWindow) -> Result<f32, ModelError> {
+        require_signals("AT", window)?;
         if window.ppg.len() < self.rolling_len {
             return Err(ModelError::InvalidWindow {
                 model: "AT",
@@ -140,7 +141,7 @@ mod tests {
             accel_x: vec![0.0; 256],
             accel_y: vec![0.0; 256],
             accel_z: vec![1.0; 256],
-            mean_motion_g: motion,
+            mean_motion_g: Some(motion),
         }
     }
 

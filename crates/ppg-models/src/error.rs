@@ -20,6 +20,13 @@ pub enum ModelError {
         /// Why the prediction failed.
         reason: String,
     },
+    /// A label-only window ([`ppg_data::WindowDemand::Labels`]) reached a
+    /// model that reads signal channels: the window's producer was opened
+    /// with a smaller demand than its consumer declared.
+    MissingSignals {
+        /// Which model needed the signals.
+        model: &'static str,
+    },
     /// A classifier was used before being trained.
     NotTrained {
         /// Which model was not trained.
@@ -45,6 +52,10 @@ impl fmt::Display for ModelError {
             ModelError::PredictionFailed { model, reason } => {
                 write!(f, "{model}: prediction failed ({reason})")
             }
+            ModelError::MissingSignals { model } => write!(
+                f,
+                "{model}: window is label-only, but the model reads its signal channels"
+            ),
             ModelError::NotTrained { model } => write!(f, "{model}: model has not been trained"),
             ModelError::InvalidTrainingData { reason } => {
                 write!(f, "invalid training data ({reason})")
@@ -93,6 +104,9 @@ mod tests {
             reason: "no peak".to_string(),
         };
         assert!(e.to_string().contains("no peak"));
+        assert!(ModelError::MissingSignals { model: "AT" }
+            .to_string()
+            .contains("label-only"));
         assert!(ModelError::NotTrained { model: "rf" }
             .to_string()
             .contains("trained"));

@@ -11,7 +11,7 @@
 //! shard artifacts.
 
 use hw_sim::profile::Workload;
-use ppg_data::LabeledWindow;
+use ppg_data::{LabeledWindow, WindowDemand};
 use telemetry::{Counter, Stability};
 
 use crate::error::ModelError;
@@ -71,6 +71,10 @@ impl HrEstimator for InstrumentedEstimator {
     fn reset(&mut self) {
         self.inner.reset();
     }
+
+    fn demand(&self) -> WindowDemand {
+        self.inner.demand()
+    }
 }
 
 #[cfg(test)]
@@ -106,7 +110,7 @@ mod tests {
             accel_x: vec![0.0; 256],
             accel_y: vec![0.0; 256],
             accel_z: vec![1.0; 256],
-            mean_motion_g: 0.0,
+            mean_motion_g: Some(0.0),
         }
     }
 }

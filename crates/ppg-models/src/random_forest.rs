@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use ppg_data::{Activity, DifficultyLevel, LabeledWindow};
 
 use crate::error::ModelError;
-use crate::traits::ActivityClassifier;
+use crate::traits::{require_signals, ActivityClassifier};
 
 /// Number of features extracted per window (see
 /// [`ppg_dsp::AccelFeatures::LEN`]).
@@ -364,6 +364,7 @@ impl ActivityClassifier for RandomForest {
     }
 
     fn classify(&self, window: &LabeledWindow) -> Result<Activity, ModelError> {
+        require_signals("random-forest", window)?;
         let features = window.accel_features()?.to_vec();
         let class = self.predict_features(&features);
         Activity::from_index(class).ok_or_else(|| ModelError::PredictionFailed {

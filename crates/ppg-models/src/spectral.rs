@@ -14,7 +14,7 @@ use ppg_dsp::fft::dominant_frequency;
 use ppg_dsp::filter::band_pass;
 
 use crate::error::ModelError;
-use crate::traits::{clamp_bpm, HrEstimator};
+use crate::traits::{clamp_bpm, require_signals, HrEstimator};
 
 /// Approximate cycle count of one spectral prediction on the STM32WB55
 /// (band-pass + 256-point FFT + peak search).
@@ -64,6 +64,7 @@ impl HrEstimator for SpectralPeak {
     }
 
     fn predict(&mut self, window: &LabeledWindow) -> Result<f32, ModelError> {
+        require_signals("SpectralPeak", window)?;
         if window.ppg.len() < 64 || !window.ppg.len().is_power_of_two() {
             return Err(ModelError::InvalidWindow {
                 model: "SpectralPeak",
@@ -125,7 +126,7 @@ mod tests {
             accel_x: vec![0.0; 256],
             accel_y: vec![0.0; 256],
             accel_z: vec![1.0; 256],
-            mean_motion_g: motion,
+            mean_motion_g: Some(motion),
         }
     }
 

@@ -19,7 +19,7 @@
 //! harmonic stays wrong for a few windows.
 
 use hw_sim::profile::Workload;
-use ppg_data::LabeledWindow;
+use ppg_data::{LabeledWindow, WindowDemand};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -93,6 +93,11 @@ impl HrEstimator for CalibratedEstimator {
     fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.seed ^ self.kind as u64);
         self.previous_noise = 0.0;
+    }
+
+    /// The surrogate reads the ground truth and activity only.
+    fn demand(&self) -> WindowDemand {
+        WindowDemand::Labels
     }
 }
 

@@ -28,7 +28,7 @@ use tinydl::network::Sequential;
 use tinydl::tensor::Tensor;
 
 use crate::error::ModelError;
-use crate::traits::{clamp_bpm, HrEstimator};
+use crate::traits::{clamp_bpm, require_signals, HrEstimator};
 use crate::zoo::ModelKind;
 
 /// Number of input channels: PPG plus the three accelerometer axes.
@@ -176,8 +176,10 @@ pub fn build_network_gap_head(variant: TimePpgVariant) -> Result<Sequential, Mod
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::InvalidWindow`] when the channels differ in length.
+/// Returns [`ModelError::MissingSignals`] for a label-only window and
+/// [`ModelError::InvalidWindow`] when the channels differ in length.
 pub fn window_to_tensor(window: &LabeledWindow) -> Result<Tensor, ModelError> {
+    require_signals("TimePPG", window)?;
     let len = window.ppg.len();
     if window.accel_x.len() != len || window.accel_y.len() != len || window.accel_z.len() != len {
         return Err(ModelError::InvalidWindow {

@@ -167,7 +167,7 @@ proptest! {
             prop_assert_eq!(w.accel_x.len(), 256);
             prop_assert!(w.hr_bpm >= 40.0 && w.hr_bpm <= 190.0);
             prop_assert!(w.ppg.iter().all(|x| x.is_finite()));
-            prop_assert!(w.mean_motion_g >= 0.0);
+            prop_assert!(w.mean_motion_g.is_some_and(|m| m >= 0.0));
         }
     }
 }
