@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use fleet::{run_fleet, DeviceScenario, ExecutorOptions, FleetSimulation, ScenarioMix};
+use fleet::{run_fleet_range, DeviceReport, ExecutorOptions, FleetSimulation, ScenarioMix};
 
 /// Distinct subject/activity profiles in the benched fleet.
 const DISTINCT_PROFILES: u64 = 4;
@@ -30,10 +30,6 @@ fn bench_mix() -> ScenarioMix {
     }
 }
 
-fn repeated_subject_fleet(simulation: &FleetSimulation) -> Vec<DeviceScenario> {
-    simulation.generator().scenarios(DEVICES).collect()
-}
-
 fn options(profile_cache: Option<usize>) -> ExecutorOptions {
     ExecutorOptions {
         // Single-threaded keeps the comparison about synthesis work, not
@@ -44,59 +40,41 @@ fn options(profile_cache: Option<usize>) -> ExecutorOptions {
     }
 }
 
+fn run(simulation: &FleetSimulation, profile_cache: Option<usize>) -> Vec<DeviceReport> {
+    run_fleet_range(
+        simulation.generator(),
+        black_box(0..DEVICES),
+        simulation.zoo(),
+        simulation.engine(),
+        &options(profile_cache),
+        None,
+    )
+    .unwrap()
+}
+
 fn bench_cached_vs_uncached(c: &mut Criterion) {
     let simulation = FleetSimulation::new(42, bench_mix()).expect("profiling succeeds");
-    let scenarios = repeated_subject_fleet(&simulation);
-    let total_windows: u64 = scenarios
-        .iter()
+    let total_windows: u64 = simulation
+        .generator()
+        .scenarios(DEVICES)
         .map(|s| s.window_count().expect("valid scenario") as u64)
         .sum();
 
     // The cache must be invisible in the output: byte-identical reports.
-    let uncached = run_fleet(
-        &scenarios,
-        simulation.zoo(),
-        simulation.engine(),
-        &options(None),
-    )
-    .unwrap();
-    let cached = run_fleet(
-        &scenarios,
-        simulation.zoo(),
-        simulation.engine(),
-        &options(Some(64)),
-    )
-    .unwrap();
-    assert_eq!(uncached, cached, "the cache changed a device report");
+    assert_eq!(
+        run(&simulation, None),
+        run(&simulation, Some(64)),
+        "the cache changed a device report"
+    );
 
     let mut group = c.benchmark_group("cached_vs_uncached");
     group.sample_size(10);
     group.throughput(Throughput::Elements(total_windows));
     group.bench_function("uncached_repeated_subjects", |b| {
-        b.iter(|| {
-            black_box(
-                run_fleet(
-                    black_box(&scenarios),
-                    simulation.zoo(),
-                    simulation.engine(),
-                    &options(None),
-                )
-                .unwrap(),
-            )
-        })
+        b.iter(|| black_box(run(&simulation, None)))
     });
     group.bench_function("cached_repeated_subjects", |b| {
-        b.iter(|| {
-            black_box(
-                run_fleet(
-                    black_box(&scenarios),
-                    simulation.zoo(),
-                    simulation.engine(),
-                    &options(Some(64)),
-                )
-                .unwrap(),
-            )
-        })
+        b.iter(|| black_box(run(&simulation, Some(64))))
     });
     group.finish();
 }

@@ -5,20 +5,35 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use fleet::{run_fleet, run_fleet_range, ExecutorOptions, FleetSimulation, ScenarioMix};
+use fleet::{run_fleet_range, ExecutorOptions, FleetSimulation, ScenarioMix};
 
 const DEVICES: u64 = 64;
 
 fn bench_fleet(c: &mut Criterion) {
     let simulation = FleetSimulation::new(42, ScenarioMix::balanced())
         .expect("profiling the shared table succeeds");
-    let scenarios: Vec<_> = simulation.generator().scenarios(DEVICES).collect();
     // Exact window count from the schedule geometry alone — no signal is
     // synthesized just to size the throughput denominator.
-    let total_windows: usize = scenarios
-        .iter()
+    let total_windows: usize = simulation
+        .generator()
+        .scenarios(DEVICES)
         .map(|s| s.window_count().expect("scenario windows build"))
         .sum();
+    let run = |threads| {
+        run_fleet_range(
+            simulation.generator(),
+            black_box(0..DEVICES),
+            simulation.zoo(),
+            simulation.engine(),
+            &ExecutorOptions {
+                threads,
+                chunk_size: 8,
+                ..ExecutorOptions::default()
+            },
+            None,
+        )
+        .unwrap()
+    };
 
     let mut group = c.benchmark_group("fleet");
     group.sample_size(10);
@@ -36,55 +51,8 @@ fn bench_fleet(c: &mut Criterion) {
     // Window throughput of the full simulation (synthesis + runtime), the
     // fleet analogue of the paper's per-window runtime cost.
     group.throughput(Throughput::Elements(total_windows as u64));
-    group.bench_function("simulate_64_devices_1_thread", |b| {
-        b.iter(|| {
-            run_fleet(
-                black_box(&scenarios),
-                simulation.zoo(),
-                simulation.engine(),
-                &ExecutorOptions {
-                    threads: 1,
-                    chunk_size: 8,
-                    ..ExecutorOptions::default()
-                },
-            )
-            .unwrap()
-        })
-    });
-    group.bench_function("simulate_64_devices_all_cores", |b| {
-        b.iter(|| {
-            run_fleet(
-                black_box(&scenarios),
-                simulation.zoo(),
-                simulation.engine(),
-                &ExecutorOptions {
-                    threads: 0,
-                    chunk_size: 8,
-                    ..ExecutorOptions::default()
-                },
-            )
-            .unwrap()
-        })
-    });
-    // The scenario-free path: identical work, but each worker derives its
-    // scenarios on demand instead of reading a pre-built vector — the cost
-    // of O(threads) scenario memory, head to head against the slice path.
-    group.bench_function("simulate_64_devices_scenario_free", |b| {
-        b.iter(|| {
-            run_fleet_range(
-                simulation.generator(),
-                black_box(0..DEVICES),
-                simulation.zoo(),
-                simulation.engine(),
-                &ExecutorOptions {
-                    threads: 0,
-                    chunk_size: 8,
-                    ..ExecutorOptions::default()
-                },
-            )
-            .unwrap()
-        })
-    });
+    group.bench_function("simulate_64_devices_1_thread", |b| b.iter(|| run(1)));
+    group.bench_function("simulate_64_devices_all_cores", |b| b.iter(|| run(0)));
     group.finish();
 }
 

@@ -121,6 +121,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Some(sink) = &sink {
+        sink.finish(&telemetry_root);
+    }
 
     let json = match serde_json::to_string_pretty(&shard) {
         Ok(json) => json,

@@ -107,6 +107,9 @@ fn main() -> ExitCode {
         }
     };
     let run_time = run_start.elapsed();
+    if let Some(sink) = &sink {
+        sink.finish(&telemetry_root);
+    }
 
     if args.json {
         // Sketch runs wrap the report in an envelope carrying the accuracy

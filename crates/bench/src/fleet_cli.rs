@@ -222,14 +222,14 @@ where
 /// `ceil(total/32)` completed devices — a hard cap of 33 lines per run (32
 /// step lines plus the guaranteed final-totals line) no matter how many
 /// devices the fleet has. The final line (`devices total/total`) is always
-/// printed.
+/// printed: by the last device to complete, or by [`StderrProgress::finish`]
+/// for a run with no devices.
 pub struct StderrProgress {
     total_devices: u64,
     step: u64,
     devices_done: AtomicU64,
     windows_done: AtomicU64,
     lines_emitted: AtomicU64,
-    cache: fleet::CachePublication,
     /// Serializes printing; counters are re-read under it so the printed
     /// device counts never go backwards across interleaved workers.
     print_lock: std::sync::Mutex<()>,
@@ -244,7 +244,6 @@ impl StderrProgress {
             devices_done: AtomicU64::new(0),
             windows_done: AtomicU64::new(0),
             lines_emitted: AtomicU64::new(0),
-            cache: fleet::CachePublication::new(),
             print_lock: std::sync::Mutex::new(()),
         }
     }
@@ -268,13 +267,25 @@ impl StderrProgress {
         self.windows_done.load(Ordering::Relaxed)
     }
 
-    /// Profiling-window cache totals of the finished run, when the executor
-    /// reported them (`--profile-cache` runs only): `(hits, misses)`.
-    pub fn cache_stats(&self) -> Option<(u64, u64)> {
-        // The acquire/release pairing lives in `fleet::CachePublication`,
-        // where it is exhaustively model-checked
-        // (fleet/tests/interleave_harness.rs).
-        self.cache.stats()
+    /// Prints the closing lines of a finished run: the `devices 0/0` totals
+    /// when the run had no devices (otherwise the last device printed them),
+    /// then the profile-cache hit/miss totals when the run used the cache —
+    /// read from `root`, the invocation's registry, which holds the run's
+    /// [`fleet::PROFILE_CACHE_EVENTS_SERIES`] exactly when the cache was on.
+    pub fn finish(&self, root: &telemetry::Registry) {
+        if self.total_devices == 0 {
+            // relaxed: the run has returned, so no worker prints
+            // concurrently.
+            self.lines_emitted.fetch_add(1, Ordering::Relaxed);
+            eprintln!("progress: devices 0/0 windows 0");
+        }
+        let snapshot = root.snapshot();
+        let event = |result| {
+            snapshot.counter_value(fleet::PROFILE_CACHE_EVENTS_SERIES, &[("result", result)])
+        };
+        if let (Some(hits), Some(misses)) = (event("hit"), event("miss")) {
+            eprintln!("progress: profile-cache hits {hits} misses {misses}");
+        }
     }
 }
 
@@ -283,17 +294,6 @@ impl ProgressSink for StderrProgress {
         // relaxed: single-cell monotone counter; printed totals are re-read
         // under `print_lock`, which orders them.
         self.windows_done.fetch_add(count as u64, Ordering::Relaxed);
-    }
-
-    fn profile_cache(&self, hits: u64, misses: u64) {
-        // Release/Acquire publication delegated to the model-checked pair
-        // (the torn-snapshot class PR 7 fixed in telemetry).
-        self.cache.publish(hits, misses);
-        let _guard = self
-            .print_lock
-            .lock()
-            .expect("progress printing never panics");
-        eprintln!("progress: profile-cache hits {hits} misses {misses}");
     }
 
     fn device_completed(&self, _device_id: u64, _windows: usize) {
@@ -513,30 +513,20 @@ mod tests {
     }
 
     #[test]
-    fn cache_stats_publication_is_acquire_release() {
-        // Regression shape for the torn-snapshot class: the hit/miss cells
-        // are written before the `cache_reported` flag, and `cache_stats`
-        // must never return `Some` with values older than that store. The
-        // release/acquire pairing makes this a guarantee rather than an
-        // accident of x86; this test pins the observable contract across a
-        // real thread boundary.
-        for _ in 0..64 {
-            let sink = std::sync::Arc::new(StderrProgress::new(1));
-            assert_eq!(sink.cache_stats(), None);
-            let writer = {
-                let sink = std::sync::Arc::clone(&sink);
-                std::thread::spawn(move || sink.profile_cache(7, 3))
-            };
-            // Spin until the flag is visible; the values must arrive with it.
-            let stats = loop {
-                if let Some(stats) = sink.cache_stats() {
-                    break stats;
-                }
-                std::hint::spin_loop();
-            };
-            assert_eq!(stats, (7, 3));
-            writer.join().expect("writer thread never panics");
-        }
+    fn finish_prints_totals_only_for_an_empty_run() {
+        let registry = telemetry::Registry::new();
+        let empty = StderrProgress::new(0);
+        empty.finish(&registry);
+        assert_eq!(empty.progress_lines(), 1);
+
+        let sink = StderrProgress::new(1);
+        sink.device_completed(0, 4);
+        sink.finish(&registry);
+        assert_eq!(
+            sink.progress_lines(),
+            1,
+            "the last device printed the totals"
+        );
     }
 
     #[test]
@@ -596,14 +586,6 @@ mod tests {
             Some(ScenarioMix::cohort().subject_pool as usize)
         );
         assert!(cohort.profile_cache_warning().is_none());
-    }
-
-    #[test]
-    fn stderr_progress_records_cache_stats() {
-        let sink = StderrProgress::new(8);
-        assert_eq!(sink.cache_stats(), None);
-        fleet::ProgressSink::profile_cache(&sink, 5, 3);
-        assert_eq!(sink.cache_stats(), Some((5, 3)));
     }
 
     #[test]

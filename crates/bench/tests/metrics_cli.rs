@@ -118,6 +118,43 @@ fn progress_lines_are_throttled_to_the_hard_cap() {
 }
 
 #[test]
+fn cached_progress_run_ends_with_the_totals_and_the_cache_line() {
+    let args = [
+        "--devices",
+        "64",
+        "--threads",
+        "1",
+        "--seed",
+        SEED,
+        "--mix",
+        "cohort",
+        "--json",
+        "--progress",
+    ];
+    let plain = run_ok(env!("CARGO_BIN_EXE_fleet"), &args);
+    let cached = run_ok(
+        env!("CARGO_BIN_EXE_fleet"),
+        &[&args[..], &["--profile-cache"]].concat(),
+    );
+    let stderr = String::from_utf8_lossy(&cached.stderr);
+    let tail: Vec<&str> = stderr.lines().rev().take(2).collect();
+    // 16 pool slots: one miss each, one hit per repeat — exact on one thread.
+    assert_eq!(
+        tail,
+        [
+            "progress: profile-cache hits 48 misses 16",
+            "progress: devices 64/64 windows 3828",
+        ],
+        "stderr:\n{stderr}"
+    );
+    assert!(
+        !String::from_utf8_lossy(&plain.stderr).contains("profile-cache"),
+        "an uncached run prints no cache line"
+    );
+    assert_eq!(plain.stdout, cached.stdout, "the cache changed stdout");
+}
+
+#[test]
 fn fleet_metrics_exposition_carries_the_run_counters() {
     let dir = temp_dir("exposition");
     let path = dir.join("fleet.prom");

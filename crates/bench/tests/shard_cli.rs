@@ -118,6 +118,31 @@ fn streaming_merge_accepts_any_argument_order_and_stays_byte_identical() {
 }
 
 #[test]
+fn empty_shard_still_prints_its_progress_totals() {
+    // 2 devices over 4 shards: shard 3 owns no device, so no device
+    // completion prints the totals line.
+    let output = run_ok(
+        env!("CARGO_BIN_EXE_fleet-shard"),
+        &[
+            "--devices",
+            "2",
+            "--shards",
+            "4",
+            "--shard-index",
+            "3",
+            "--progress",
+            "--seed",
+            SEED,
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(stderr, "progress: devices 0/0 windows 0\n");
+    let shard: fleet::ShardReport =
+        serde_json::from_str(std::str::from_utf8(&output.stdout).unwrap()).unwrap();
+    assert!(shard.devices.is_empty());
+}
+
+#[test]
 fn merge_rejects_a_missing_shard_with_a_typed_error() {
     let dir = temp_dir("missing");
     let shards = write_shards(&dir);

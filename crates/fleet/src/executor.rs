@@ -12,9 +12,9 @@
 //! [`DeviceScenario`] on demand as it claims ids — one scenario alive per
 //! worker, never a materialized `Vec<DeviceScenario>` (asserted by
 //! [`metrics::peak_live_scenarios`] in `tests/scenario_free.rs`). A
-//! billion-device shard therefore costs O(threads) scenario memory. The
-//! slice-based [`run_fleet`] is a thin wrapper over the same core for
-//! callers that already hold scenarios.
+//! billion-device shard therefore costs O(threads) scenario memory.
+//! [`run_fleet_range`] is the executor's only fleet entry point;
+//! [`simulate_device`] runs one already-derived scenario outside it.
 //!
 //! The executor is the per-process layer of the scale-out story: both the
 //! single-process path ([`crate::FleetSimulation::run`]) and every
@@ -23,7 +23,6 @@
 //! work — only the partitioning and the final [`crate::merge::merge`]
 //! differ.
 
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -122,40 +121,6 @@ pub mod metrics {
     }
 }
 
-/// Where a worker gets the scenario of work item `index`: a caller-provided
-/// slice (the legacy eager path) or on-demand derivation from a generator
-/// and a device-id range (the scenario-free path).
-enum ScenarioSupply<'a> {
-    Slice(&'a [DeviceScenario]),
-    Generated {
-        generator: &'a ScenarioGenerator,
-        range: Range<u64>,
-    },
-}
-
-impl ScenarioSupply<'_> {
-    /// Number of work items (devices) supplied. An inverted range is empty
-    /// (Rust `Range` convention), not an underflow.
-    fn len(&self) -> u64 {
-        match self {
-            ScenarioSupply::Slice(scenarios) => scenarios.len() as u64,
-            ScenarioSupply::Generated { range, .. } => range.end.saturating_sub(range.start),
-        }
-    }
-
-    /// The scenario of work item `index` — borrowed from the slice, or
-    /// derived on demand (and owned by the caller, so it is dropped before
-    /// the worker claims its next item).
-    fn scenario(&self, index: u64) -> Cow<'_, DeviceScenario> {
-        match self {
-            ScenarioSupply::Slice(scenarios) => Cow::Borrowed(&scenarios[index as usize]),
-            ScenarioSupply::Generated { generator, range } => {
-                Cow::Owned(generator.scenario(range.start + index))
-            }
-        }
-    }
-}
-
 /// Upper bound on the projected battery life, in hours (≈11 years). Keeps
 /// the distribution finite for pathological near-zero average power.
 pub const BATTERY_LIFE_CAP_HOURS: f64 = 100_000.0;
@@ -179,7 +144,8 @@ pub struct ExecutorOptions {
     /// `usize::MAX` = unbounded), so devices whose scenarios share a
     /// [`DeviceScenario::window_cache_key`] replay one synthesized stream.
     /// Reports are byte-identical for every setting; the merged hit/miss
-    /// counters surface through [`ProgressSink::profile_cache`].
+    /// counters land in the run's registry as
+    /// [`PROFILE_CACHE_EVENTS_SERIES`].
     pub profile_cache: Option<usize>,
     /// How the run's device reports are aggregated:
     /// [`ReportMode::Exact`] keeps every per-device sample (O(devices)
@@ -226,7 +192,8 @@ impl ExecutorOptions {
 /// runtime's [`ChrisRuntime::demand`]: the fleet's oracle classifier and
 /// calibrated estimators read labels only, so no PPG or accelerometer is
 /// synthesized, and the report is byte-identical to a run over
-/// [`DeviceScenario::window_stream`].
+/// [`DeviceScenario::window_stream`]. [`run_fleet_range`] runs every device
+/// through this same core, adding progress and the per-worker cache.
 ///
 /// # Errors
 ///
@@ -237,44 +204,22 @@ pub fn simulate_device(
     zoo: &ModelZoo,
     engine: &DecisionEngine,
 ) -> Result<DeviceReport, FleetError> {
-    simulate_device_with_progress(scenario, zoo, engine, None)
+    simulate_with_runtime(scenario, device_runtime(scenario, zoo, engine), None, None)
 }
 
-/// [`simulate_device`] with an optional [`ProgressSink`] observing every
-/// pulled window and the device's completion.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_device`].
-pub fn simulate_device_with_progress(
+/// The runtime a device runs: the shared zoo and engine under the device's
+/// energy accounting and seed.
+fn device_runtime(
     scenario: &DeviceScenario,
     zoo: &ModelZoo,
     engine: &DecisionEngine,
-    sink: Option<&dyn ProgressSink>,
-) -> Result<DeviceReport, FleetError> {
-    simulate_device_inner(scenario, zoo, engine, sink, None)
-}
-
-/// [`simulate_device`] with a [`WindowCache`]: the device's windows come
-/// through the cache, keyed like [`DeviceScenario::window_cache_key`] plus
-/// the runtime's demand, so a cache hit replays an earlier device's
-/// synthesized session instead of re-running the synthesizers. The report is
-/// byte-identical to the uncached path.
-///
-/// The cache is `&mut` by design — the executor keeps one per worker thread
-/// (lock-free) and merges the counters afterwards.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_device`].
-pub fn simulate_device_cached(
-    scenario: &DeviceScenario,
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    cache: &mut WindowCache,
-    sink: Option<&dyn ProgressSink>,
-) -> Result<DeviceReport, FleetError> {
-    simulate_device_inner(scenario, zoo, engine, sink, Some(cache))
+) -> ChrisRuntime {
+    let options = RuntimeOptions {
+        accounting: scenario.accounting,
+        seed: scenario.dataset_seed,
+        ..RuntimeOptions::default()
+    };
+    ChrisRuntime::new(zoo.clone(), engine.clone(), options)
 }
 
 /// Drives one device's runtime over any window source, wrapping it in a
@@ -300,28 +245,13 @@ where
     }
 }
 
-/// The shared device-simulation core behind the public `simulate_device*`
-/// entry points.
-fn simulate_device_inner(
-    scenario: &DeviceScenario,
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    sink: Option<&dyn ProgressSink>,
-    cache: Option<&mut WindowCache>,
-) -> Result<DeviceReport, FleetError> {
-    let options = RuntimeOptions {
-        accounting: scenario.accounting,
-        seed: scenario.dataset_seed,
-        ..RuntimeOptions::default()
-    };
-    let runtime = ChrisRuntime::new(zoo.clone(), engine.clone(), options);
-    simulate_with_runtime(scenario, runtime, sink, cache)
-}
-
 /// Runs one device's windows through `runtime` and assembles its report.
 /// The windows are synthesized for the runtime's [`ChrisRuntime::demand`],
 /// so a runtime whose classifier or estimators read signals gets full
-/// windows, and one that reads labels only gets label-only windows.
+/// windows, and one that reads labels only gets label-only windows. With a
+/// [`WindowCache`], the windows come through it, keyed like
+/// [`DeviceScenario::window_cache_key`] plus the demand, so a hit replays an
+/// earlier device's synthesized session; the report is byte-identical.
 fn simulate_with_runtime(
     scenario: &DeviceScenario,
     mut runtime: ChrisRuntime,
@@ -377,116 +307,6 @@ fn simulate_with_runtime(
     })
 }
 
-/// Runs every scenario and returns the device reports in device order.
-///
-/// Thin wrapper over the scenario-free core: the slice is treated as a
-/// pre-materialized supply, so eager callers (tests, benches) share the
-/// exact worker loop of [`run_fleet_range`].
-///
-/// # Errors
-///
-/// Returns [`FleetError::EmptyFleet`] for an empty scenario list; when
-/// multiple devices fail, the error of the lowest-indexed device is returned
-/// (deterministic for any thread count).
-pub fn run_fleet(
-    scenarios: &[DeviceScenario],
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    options: &ExecutorOptions,
-) -> Result<Vec<DeviceReport>, FleetError> {
-    run_fleet_with_progress(scenarios, zoo, engine, options, None)
-}
-
-/// [`run_fleet`] with an optional [`ProgressSink`] receiving window- and
-/// device-level progress from the worker threads while the fleet runs.
-///
-/// Attaching a sink never changes the results: reports stay byte-identical
-/// for any thread count, with or without progress.
-///
-/// # Errors
-///
-/// Same conditions as [`run_fleet`].
-pub fn run_fleet_with_progress(
-    scenarios: &[DeviceScenario],
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    options: &ExecutorOptions,
-    sink: Option<&dyn ProgressSink>,
-) -> Result<Vec<DeviceReport>, FleetError> {
-    run_supply(
-        &ScenarioSupply::Slice(scenarios),
-        zoo,
-        engine,
-        options,
-        sink,
-    )
-}
-
-/// Runs the devices of a contiguous id range, deriving each scenario on
-/// demand inside the claiming worker — the scenario-free path.
-///
-/// No `Vec<DeviceScenario>` is ever built: peak *scenario* memory is one
-/// scenario per worker thread regardless of the range size. (The returned
-/// `Vec<DeviceReport>` is still O(range) — partition huge fleets into
-/// shards sized to what one process can report on.) Reports are returned in
-/// device-id order and are byte-identical to running [`run_fleet`] over
-/// `generator.scenarios_in(range).collect::<Vec<_>>()`.
-///
-/// # Errors
-///
-/// Returns [`FleetError::EmptyFleet`] for an empty range; otherwise the same
-/// conditions as [`run_fleet`].
-pub fn run_fleet_range(
-    generator: &ScenarioGenerator,
-    range: Range<u64>,
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    options: &ExecutorOptions,
-) -> Result<Vec<DeviceReport>, FleetError> {
-    run_fleet_range_with_progress(generator, range, zoo, engine, options, None)
-}
-
-/// [`run_fleet_range`] with an optional [`ProgressSink`] observing windows
-/// processed and devices completed while the range executes.
-///
-/// # Errors
-///
-/// Same conditions as [`run_fleet_range`].
-pub fn run_fleet_range_with_progress(
-    generator: &ScenarioGenerator,
-    range: Range<u64>,
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    options: &ExecutorOptions,
-    sink: Option<&dyn ProgressSink>,
-) -> Result<Vec<DeviceReport>, FleetError> {
-    run_supply(
-        &ScenarioSupply::Generated { generator, range },
-        zoo,
-        engine,
-        options,
-        sink,
-    )
-}
-
-/// Simulates one work item of a supply, tracking generated-scenario
-/// lifetimes so tests can assert the scenario-free memory bound.
-fn simulate_index(
-    supply: &ScenarioSupply<'_>,
-    index: u64,
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    sink: Option<&dyn ProgressSink>,
-    cache: Option<&mut WindowCache>,
-) -> Result<DeviceReport, FleetError> {
-    let scenario = supply.scenario(index);
-    let _live = match &scenario {
-        Cow::Owned(_) => Some(metrics::GeneratedScenario::track()),
-        Cow::Borrowed(_) => None,
-    };
-    simulate_device_inner(scenario.as_ref(), zoo, engine, sink, cache)
-}
-
 /// Series name of the profiling-window cache event counter (labelled by
 /// `result`: `"hit"` or `"miss"`).
 pub const PROFILE_CACHE_EVENTS_SERIES: &str = "chris_profile_cache_events_total";
@@ -518,28 +338,85 @@ fn record_cache_events(registry: &telemetry::Registry, cache: &WindowCache) {
     cache_event_counter(registry, "miss").add(cache.misses());
 }
 
-/// The shared executor core: claims work items from an atomic cursor over
-/// the supply, simulates them, and merges the reports in item order.
+/// What every worker of one run shares: where the device range starts, the
+/// read-only inputs of each device simulation, and the optional sink.
+struct Work<'a> {
+    generator: &'a ScenarioGenerator,
+    start: u64,
+    zoo: &'a ModelZoo,
+    engine: &'a DecisionEngine,
+    sink: Option<&'a dyn ProgressSink>,
+}
+
+impl Work<'_> {
+    /// Derives the scenario of work item `index` and simulates it. The
+    /// scenario is tracked by the live-scenario gauge and dropped before the
+    /// worker claims its next item.
+    fn simulate(
+        &self,
+        index: u64,
+        cache: Option<&mut WindowCache>,
+    ) -> Result<DeviceReport, FleetError> {
+        let scenario = self.generator.scenario(self.start + index);
+        let _live = metrics::GeneratedScenario::track();
+        let runtime = device_runtime(&scenario, self.zoo, self.engine);
+        simulate_with_runtime(&scenario, runtime, self.sink, cache)
+    }
+
+    /// Whether the sink (if any) has asked the run to stop. Polled exactly
+    /// once before each device, so cancellation lands on a device boundary.
+    fn cancel_requested(&self) -> bool {
+        self.sink.is_some_and(ProgressSink::should_cancel)
+    }
+}
+
+/// Runs the devices of a contiguous id range and returns their reports in
+/// device-id order, with an optional [`ProgressSink`] observing windows
+/// processed and devices completed while the range executes.
+///
+/// Each scenario is derived on demand inside the claiming worker: no
+/// `Vec<DeviceScenario>` is ever built, so peak *scenario* memory is one
+/// scenario per worker thread regardless of the range size. (The returned
+/// `Vec<DeviceReport>` is still O(range) — partition huge fleets into shards
+/// sized to what one process can report on.) Every report equals
+/// [`simulate_device`] on `generator.scenario(id)`, for any thread count,
+/// cache setting and sink.
 ///
 /// Telemetry flows through three registry layers: each worker records into
 /// its own private [`telemetry::Registry`] (lock-free, no cross-thread
 /// contention), workers fold their snapshot into a shared batch registry at
 /// exit (counter/histogram merging is commutative, so the batch totals are
 /// identical for any thread count or interleaving), and the batch is finally
-/// absorbed into whatever registry was active when the run started. The
-/// merged cache hit/miss totals surface to [`ProgressSink::profile_cache`]
-/// straight from the batch snapshot.
-fn run_supply(
-    supply: &ScenarioSupply<'_>,
+/// absorbed into whatever registry was active when the run started —
+/// including the merged cache hit/miss totals
+/// ([`PROFILE_CACHE_EVENTS_SERIES`]) when the cache is enabled.
+///
+/// # Errors
+///
+/// Returns [`FleetError::EmptyFleet`] for an empty (or inverted) range and
+/// [`FleetError::Cancelled`] when the sink requests cancellation; when
+/// multiple devices fail, the error of the lowest device id is returned
+/// (deterministic for any thread count).
+pub fn run_fleet_range(
+    generator: &ScenarioGenerator,
+    range: Range<u64>,
     zoo: &ModelZoo,
     engine: &DecisionEngine,
     options: &ExecutorOptions,
     sink: Option<&dyn ProgressSink>,
 ) -> Result<Vec<DeviceReport>, FleetError> {
-    let count = supply.len();
+    // An inverted range is empty (Rust `Range` convention), not an underflow.
+    let count = range.end.saturating_sub(range.start);
     if count == 0 {
         return Err(FleetError::EmptyFleet);
     }
+    let work = Work {
+        generator,
+        start: range.start,
+        zoo,
+        engine,
+        sink,
+    };
     let threads = options.effective_threads(usize::try_from(count).unwrap_or(usize::MAX));
     let chunk = options.chunk_size.max(1) as u64;
     let outer = telemetry::active();
@@ -556,10 +433,10 @@ fn run_supply(
         let mut cache = options.profile_cache.map(WindowCache::new);
         let reports = (0..count)
             .map(|index| {
-                if cancel_requested(sink) {
+                if work.cancel_requested() {
                     return Err(FleetError::Cancelled);
                 }
-                simulate_index(supply, index, zoo, engine, sink, cache.as_mut())
+                work.simulate(index, cache.as_mut())
             })
             .collect();
         if let Some(cache) = &cache {
@@ -567,39 +444,19 @@ fn run_supply(
         }
         reports
     } else {
-        run_supply_parallel(
-            supply,
-            zoo,
-            engine,
-            sink,
-            &batch,
-            options.profile_cache,
-            count,
-            threads,
-            chunk,
-        )
+        run_parallel(&work, &batch, options.profile_cache, count, threads, chunk)
     };
 
-    if options.profile_cache.is_some() {
-        if let Some(sink) = sink {
-            let snapshot = batch.snapshot();
-            let event = |result| {
-                snapshot
-                    .counter_value(PROFILE_CACHE_EVENTS_SERIES, &[("result", result)])
-                    .unwrap_or(0)
-            };
-            sink.profile_cache(event("hit"), event("miss"));
-        }
-    }
     outer
         .absorb(&batch.snapshot())
         .expect("executor series are self-consistent across registries");
     reports
 }
 
-/// The multi-worker arm of [`run_supply`]: scoped threads over an atomic
-/// chunk cursor, one private [`WindowCache`] and [`telemetry::Registry`] per
-/// worker, both folded into the shared `batch` exactly once at worker exit.
+/// The multi-worker arm of [`run_fleet_range`]: scoped threads over an
+/// atomic chunk cursor, one private [`WindowCache`] and
+/// [`telemetry::Registry`] per worker, both folded into the shared `batch`
+/// exactly once at worker exit.
 ///
 /// The calling thread runs one of the workers and spawns only
 /// `threads - 1`, so a run never has more runnable threads than workers.
@@ -607,12 +464,8 @@ fn run_supply(
 /// scheduler can start two workers on one CPU and leave them there until it
 /// rebalances: on a 2-vCPU VM that cost a few milliseconds in some 50 ms
 /// runs and none in others.
-#[allow(clippy::too_many_arguments)]
-fn run_supply_parallel(
-    supply: &ScenarioSupply<'_>,
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    sink: Option<&dyn ProgressSink>,
+fn run_parallel(
+    work: &Work<'_>,
     batch: &telemetry::Registry,
     profile_cache: Option<usize>,
     count: u64,
@@ -638,13 +491,10 @@ fn run_supply_parallel(
             claim_chunk(&cursor, count, guided_chunk(&cursor, count, threads, chunk))
         {
             for index in claimed {
-                if cancel_requested(sink) {
+                if work.cancel_requested() {
                     break 'claims;
                 }
-                local.push((
-                    index,
-                    simulate_index(supply, index, zoo, engine, sink, cache.as_mut()),
-                ));
+                local.push((index, work.simulate(index, cache.as_mut())));
             }
         }
         if let Some(cache) = &cache {
@@ -681,12 +531,6 @@ fn run_supply_parallel(
     }
     debug_assert_eq!(merged.len() as u64, count);
     merged.into_iter().map(|(_, result)| result).collect()
-}
-
-/// Whether the sink (if any) has asked the run to stop. Polled between
-/// devices, so cancellation lands on a device boundary.
-fn cancel_requested(sink: Option<&dyn ProgressSink>) -> bool {
-    sink.is_some_and(ProgressSink::should_cancel)
 }
 
 /// The size of a worker's next claim: `max` while at least `4 * max` items
@@ -793,7 +637,8 @@ mod tests {
         let mut cache = WindowCache::new(4);
         // A label-only entry for the same scenario, filled by the default
         // runtime, must not be replayed to the forest.
-        simulate_device_cached(&scenario, &zoo, &engine, &mut cache, None).unwrap();
+        let default_runtime = device_runtime(&scenario, &zoo, &engine);
+        simulate_with_runtime(&scenario, default_runtime, None, Some(&mut cache)).unwrap();
         for cache in [None, Some(&mut cache)] {
             let report = simulate_with_runtime(&scenario, runtime(), None, cache).unwrap();
             assert_eq!(report.windows, expected.windows);
@@ -803,46 +648,32 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
     }
 
-    #[test]
-    fn empty_fleet_is_rejected() {
-        let zoo = ModelZoo::paper_setup();
-        let engine = shared_engine(&zoo);
-        assert!(matches!(
-            run_fleet(&[], &zoo, &engine, &ExecutorOptions::default()),
-            Err(FleetError::EmptyFleet)
-        ));
+    fn options(threads: usize, chunk_size: usize) -> ExecutorOptions {
+        ExecutorOptions {
+            threads,
+            chunk_size,
+            ..ExecutorOptions::default()
+        }
     }
 
     #[test]
     fn parallel_and_sequential_results_are_identical() {
         let zoo = ModelZoo::paper_setup();
         let engine = shared_engine(&zoo);
-        let scenarios: Vec<_> = ScenarioGenerator::new(9, ScenarioMix::balanced())
-            .scenarios(12)
-            .collect();
-        let sequential = run_fleet(
-            &scenarios,
-            &zoo,
-            &engine,
-            &ExecutorOptions {
-                threads: 1,
-                chunk_size: 8,
-                ..ExecutorOptions::default()
-            },
-        )
-        .unwrap();
-        let parallel = run_fleet(
-            &scenarios,
-            &zoo,
-            &engine,
-            &ExecutorOptions {
-                threads: 4,
-                chunk_size: 2,
-                ..ExecutorOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(sequential, parallel);
+        let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
+        let run = |threads, chunk| {
+            run_fleet_range(
+                &generator,
+                0..12,
+                &zoo,
+                &engine,
+                &options(threads, chunk),
+                None,
+            )
+            .unwrap()
+        };
+        let sequential = run(1, 8);
+        assert_eq!(sequential, run(4, 2));
         assert_eq!(sequential.len(), 12);
         for (i, report) in sequential.iter().enumerate() {
             assert_eq!(report.device_id, i as u64);
@@ -851,21 +682,19 @@ mod tests {
     }
 
     #[test]
-    fn range_execution_matches_slice_execution() {
+    fn range_execution_matches_per_device_simulation() {
         let zoo = ModelZoo::paper_setup();
         let engine = shared_engine(&zoo);
         let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
-        let scenarios: Vec<_> = generator.scenarios_in(3..11).collect();
-        let options = ExecutorOptions {
-            threads: 3,
-            chunk_size: 2,
-            ..ExecutorOptions::default()
-        };
-        let eager = run_fleet(&scenarios, &zoo, &engine, &options).unwrap();
-        let scenario_free = run_fleet_range(&generator, 3..11, &zoo, &engine, &options).unwrap();
-        assert_eq!(eager, scenario_free);
-        assert_eq!(scenario_free.len(), 8);
-        for (offset, report) in scenario_free.iter().enumerate() {
+        let per_device: Vec<_> = generator
+            .scenarios_in(3..11)
+            .map(|scenario| simulate_device(&scenario, &zoo, &engine).unwrap())
+            .collect();
+        let range =
+            run_fleet_range(&generator, 3..11, &zoo, &engine, &options(3, 2), None).unwrap();
+        assert_eq!(range, per_device);
+        assert_eq!(range.len(), 8);
+        for (offset, report) in range.iter().enumerate() {
             assert_eq!(report.device_id, 3 + offset as u64);
         }
     }
@@ -876,7 +705,14 @@ mod tests {
         let engine = shared_engine(&zoo);
         let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
         assert!(matches!(
-            run_fleet_range(&generator, 5..5, &zoo, &engine, &ExecutorOptions::default()),
+            run_fleet_range(
+                &generator,
+                5..5,
+                &zoo,
+                &engine,
+                &ExecutorOptions::default(),
+                None
+            ),
             Err(FleetError::EmptyFleet)
         ));
         // An inverted range is empty by Rust convention — EmptyFleet, not a
@@ -889,7 +725,8 @@ mod tests {
                 inverted,
                 &zoo,
                 &engine,
-                &ExecutorOptions::default()
+                &ExecutorOptions::default(),
+                None
             ),
             Err(FleetError::EmptyFleet)
         ));
@@ -929,54 +766,58 @@ mod tests {
         );
     }
 
+    /// Sink that requests cancellation once `after` devices completed and
+    /// counts its cancellation polls.
+    struct CancelAfter {
+        after: usize,
+        completed: std::sync::atomic::AtomicUsize,
+        polls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CancelAfter {
+        fn new(after: usize) -> Self {
+            Self {
+                after,
+                completed: Default::default(),
+                polls: Default::default(),
+            }
+        }
+    }
+
+    impl ProgressSink for CancelAfter {
+        fn windows_processed(&self, _device_id: u64, _count: usize) {}
+
+        fn device_completed(&self, _device_id: u64, _windows: usize) {
+            // relaxed: cross-thread test counter; the assertions read it
+            // after the executor joined its workers.
+            self.completed.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn should_cancel(&self) -> bool {
+            // relaxed: cross-thread test counter, read after the join.
+            self.polls.fetch_add(1, Ordering::Relaxed);
+            // relaxed: a stale count only delays cancellation by one poll —
+            // exactly what the tests' tolerance range allows.
+            self.completed.load(Ordering::Relaxed) >= self.after
+        }
+    }
+
     #[test]
     fn cancellation_aborts_at_a_device_boundary() {
-        use std::sync::atomic::AtomicUsize;
-
-        /// Sink that requests cancellation once `after` devices completed.
-        struct CancelAfter {
-            after: usize,
-            completed: AtomicUsize,
-        }
-
-        impl ProgressSink for CancelAfter {
-            fn windows_processed(&self, _device_id: u64, _count: usize) {}
-
-            fn device_completed(&self, _device_id: u64, _windows: usize) {
-                // relaxed: cross-thread test counter; the assertion below
-                // reads it after the executor joined its workers.
-                self.completed.fetch_add(1, Ordering::Relaxed);
-            }
-
-            fn should_cancel(&self) -> bool {
-                // relaxed: a stale count only delays cancellation by one
-                // poll — exactly what the test's tolerance range allows.
-                self.completed.load(Ordering::Relaxed) >= self.after
-            }
-        }
-
         let zoo = ModelZoo::paper_setup();
         let engine = shared_engine(&zoo);
-        let scenarios: Vec<_> = ScenarioGenerator::new(9, ScenarioMix::balanced())
-            .scenarios(8)
-            .collect();
+        let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
         // Both executor arms must honor the hook: with 4 workers over
         // 2-device chunks, every worker re-polls before its second device,
         // so at most `threads` devices complete after the request.
         for threads in [1usize, 4] {
-            let sink = CancelAfter {
-                after: 2,
-                completed: AtomicUsize::new(0),
-            };
-            let result = run_fleet_with_progress(
-                &scenarios,
+            let sink = CancelAfter::new(2);
+            let result = run_fleet_range(
+                &generator,
+                0..8,
                 &zoo,
                 &engine,
-                &ExecutorOptions {
-                    threads,
-                    chunk_size: 2,
-                    ..ExecutorOptions::default()
-                },
+                &options(threads, 2),
                 Some(&sink),
             );
             assert!(
@@ -993,12 +834,10 @@ mod tests {
         }
 
         // A sink that cancels immediately aborts before any device runs.
-        let sink = CancelAfter {
-            after: 0,
-            completed: AtomicUsize::new(0),
-        };
-        let result = run_fleet_with_progress(
-            &scenarios,
+        let sink = CancelAfter::new(0);
+        let result = run_fleet_range(
+            &generator,
+            0..8,
             &zoo,
             &engine,
             &ExecutorOptions::default(),
@@ -1007,6 +846,28 @@ mod tests {
         assert!(matches!(result, Err(FleetError::Cancelled)));
         // relaxed: read after the executor returned (workers joined).
         assert_eq!(sink.completed.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn cancellation_is_polled_exactly_once_per_device() {
+        let zoo = ModelZoo::paper_setup();
+        let engine = shared_engine(&zoo);
+        let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
+        for threads in [1usize, 4] {
+            let sink = CancelAfter::new(usize::MAX);
+            let reports = run_fleet_range(
+                &generator,
+                0..10,
+                &zoo,
+                &engine,
+                &options(threads, 3),
+                Some(&sink),
+            )
+            .unwrap();
+            assert_eq!(reports.len(), 10);
+            // relaxed: read after the executor returned (workers joined).
+            assert_eq!(sink.polls.load(Ordering::Relaxed), 10, "threads={threads}");
+        }
     }
 
     #[test]
@@ -1037,7 +898,8 @@ mod tests {
             !scenarios.is_empty(),
             "harsh mix should produce offline devices"
         );
-        for report in run_fleet(&scenarios, &zoo, &engine, &ExecutorOptions::default()).unwrap() {
+        for scenario in &scenarios {
+            let report = simulate_device(scenario, &zoo, &engine).unwrap();
             assert_eq!(report.offload_fraction, 0.0);
             assert_eq!(report.disconnected_fraction, 1.0);
         }

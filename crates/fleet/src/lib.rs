@@ -34,7 +34,7 @@
 //!   streams in a lock-free per-thread [`ppg_data::WindowCache`], so devices
 //!   sharing a subject/activity profile replay one session instead of
 //!   re-synthesizing it — byte-identical output, merged hit/miss counters
-//!   via [`ProgressSink::profile_cache`],
+//!   in the run's registry ([`PROFILE_CACHE_EVENTS_SERIES`]),
 //! * [`report`] — the aggregation layer: MAE percentiles (p50/p90/p99,
 //!   exact nearest-rank with integer-math ranks), per-device energy and
 //!   projected battery-life distributions, an offload-fraction histogram and
@@ -79,12 +79,11 @@ pub mod sync;
 
 pub use error::{FleetError, MergeError};
 pub use executor::{
-    run_fleet, run_fleet_range, run_fleet_range_with_progress, run_fleet_with_progress,
-    simulate_device, simulate_device_cached, simulate_device_with_progress, ExecutorOptions,
-    DEFAULT_PROFILE_CACHE_CAPACITY, PROFILE_CACHE_EVENTS_SERIES,
+    run_fleet_range, simulate_device, ExecutorOptions, DEFAULT_PROFILE_CACHE_CAPACITY,
+    PROFILE_CACHE_EVENTS_SERIES,
 };
 pub use merge::{merge, merge_stream, MergeAccumulator};
-pub use progress::{CachePublication, ProgressSink, ProgressSource};
+pub use progress::{ProgressSink, ProgressSource};
 pub use report::{
     DeviceReport, DistributionSummary, FleetAccumulator, FleetReport, ReportMode, SketchInfo,
     SketchedReport, OFFLOAD_HISTOGRAM_BINS,
@@ -200,35 +199,19 @@ impl FleetSimulation {
     /// Returns [`FleetError`] when the fleet is empty or any device
     /// simulation fails.
     pub fn run(&self, devices: u64, threads: usize) -> Result<FleetOutcome, FleetError> {
-        self.run_with_progress(devices, threads, None)
-    }
-
-    /// [`FleetSimulation::run`] with an optional [`ProgressSink`] observing
-    /// windows processed and devices completed while the fleet executes.
-    ///
-    /// Progress is purely observational: the returned outcome is
-    /// byte-identical with or without a sink.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FleetSimulation::run`].
-    pub fn run_with_progress(
-        &self,
-        devices: u64,
-        threads: usize,
-        sink: Option<&dyn ProgressSink>,
-    ) -> Result<FleetOutcome, FleetError> {
         let options = ExecutorOptions {
             threads,
             ..ExecutorOptions::default()
         };
-        self.run_with_options(devices, &options, sink)
+        self.run_with_options(devices, &options, None)
     }
 
     /// [`FleetSimulation::run`] with full [`ExecutorOptions`] — how callers
     /// enable the per-worker profiling-window cache
     /// ([`ExecutorOptions::profile_cache`], the CLI's `--profile-cache`
-    /// flag). The outcome is byte-identical for every option combination.
+    /// flag) — and an optional [`ProgressSink`] observing windows processed
+    /// and devices completed while the fleet executes. The outcome is
+    /// byte-identical for every option combination, with or without a sink.
     ///
     /// # Errors
     ///
@@ -268,34 +251,17 @@ impl FleetSimulation {
         index: u32,
         threads: usize,
     ) -> Result<ShardReport, FleetError> {
-        self.run_shard_with_progress(spec, index, threads, None)
-    }
-
-    /// [`FleetSimulation::run_shard`] with an optional [`ProgressSink`]:
-    /// the shard worker streams every device's windows and reports partial
-    /// progress (windows processed, devices completed) as it goes — what the
-    /// `fleet-shard --progress` CLI surfaces for very large device ranges.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FleetSimulation::run_shard`].
-    pub fn run_shard_with_progress(
-        &self,
-        spec: &ShardSpec,
-        index: u32,
-        threads: usize,
-        sink: Option<&dyn ProgressSink>,
-    ) -> Result<ShardReport, FleetError> {
         let options = ExecutorOptions {
             threads,
             ..ExecutorOptions::default()
         };
-        self.run_shard_with_options(spec, index, &options, sink)
+        self.run_shard_with_options(spec, index, &options, None)
     }
 
-    /// [`FleetSimulation::run_shard`] with full [`ExecutorOptions`] (see
-    /// [`FleetSimulation::run_with_options`]); shard artifacts are
-    /// byte-identical for every option combination.
+    /// [`FleetSimulation::run_shard`] with full [`ExecutorOptions`] and an
+    /// optional [`ProgressSink`] (see [`FleetSimulation::run_with_options`]):
+    /// what `fleet-shard --progress` surfaces for very large device ranges.
+    /// Shard artifacts are byte-identical for every option combination.
     ///
     /// # Errors
     ///
@@ -327,7 +293,7 @@ impl FleetSimulation {
             Vec::new()
         } else {
             let _scope = telemetry::scoped(&run_registry);
-            run_fleet_range_with_progress(
+            run_fleet_range(
                 &self.generator,
                 range.clone(),
                 &self.zoo,

@@ -1,13 +1,12 @@
 //! Conformance suite for the per-worker profiling-window cache: enabling
 //! memoization must be **invisible in every output byte** — for arbitrary
 //! seeds, mixes, device counts and cache capacities — while the hit/miss
-//! accounting stays exact on a deterministic (single-threaded) executor.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! accounting in the run's registry stays exact on a deterministic
+//! (single-threaded) executor.
 
 use fleet::{
-    run_fleet, ExecutorOptions, FleetSimulation, ProgressSink, ScenarioMix,
-    DEFAULT_PROFILE_CACHE_CAPACITY,
+    run_fleet_range, DeviceReport, ExecutorOptions, FleetSimulation, ScenarioMix,
+    DEFAULT_PROFILE_CACHE_CAPACITY, PROFILE_CACHE_EVENTS_SERIES,
 };
 use proptest::prelude::*;
 
@@ -20,6 +19,44 @@ fn options(threads: usize, profile_cache: Option<usize>) -> ExecutorOptions {
         profile_cache,
         ..ExecutorOptions::default()
     }
+}
+
+/// A `balanced` population whose devices share 3 synthesis profiles: device
+/// `id` replays the profile of pool slot `id % 3`, so the cache both hits and
+/// evicts.
+fn three_profile_simulation(master_seed: u64) -> FleetSimulation {
+    let mix = ScenarioMix {
+        subject_pool: 3,
+        ..ScenarioMix::balanced()
+    };
+    FleetSimulation::new(master_seed, mix).unwrap()
+}
+
+/// Runs devices `0..devices` of `simulation` under a fresh registry, returning
+/// the reports and the run's `(hits, misses)` cache counters (`None` when the
+/// run registered no cache series).
+fn run_counted(
+    simulation: &FleetSimulation,
+    devices: u64,
+    options: &ExecutorOptions,
+) -> (Vec<DeviceReport>, Option<(u64, u64)>) {
+    let registry = telemetry::Registry::new();
+    let reports = {
+        let _scope = telemetry::scoped(&registry);
+        run_fleet_range(
+            simulation.generator(),
+            0..devices,
+            simulation.zoo(),
+            simulation.engine(),
+            options,
+            None,
+        )
+        .unwrap()
+    };
+    let snapshot = registry.snapshot();
+    let event = |result| snapshot.counter_value(PROFILE_CACHE_EVENTS_SERIES, &[("result", result)]);
+    let counters = event("hit").zip(event("miss"));
+    (reports, counters)
 }
 
 proptest! {
@@ -56,33 +93,12 @@ proptest! {
 /// as each other and as the uncached run, across thread counts.
 #[test]
 fn eviction_determinism_across_capacities() {
-    let simulation = FleetSimulation::new(11, ScenarioMix::balanced()).unwrap();
     // Repeated subject profiles make hits and evictions actually happen.
-    let base: Vec<_> = simulation.generator().scenarios(3).collect();
-    let scenarios: Vec<_> = (0..12)
-        .map(|i| {
-            let mut s = base[i % base.len()].clone();
-            s.device_id = i as u64;
-            s
-        })
-        .collect();
-
-    let reference = run_fleet(
-        &scenarios,
-        simulation.zoo(),
-        simulation.engine(),
-        &options(1, None),
-    )
-    .unwrap();
+    let simulation = three_profile_simulation(11);
+    let (reference, _) = run_counted(&simulation, 12, &options(1, None));
     for threads in [1usize, 4] {
         for capacity in [0usize, 1, usize::MAX] {
-            let cached = run_fleet(
-                &scenarios,
-                simulation.zoo(),
-                simulation.engine(),
-                &options(threads, Some(capacity)),
-            )
-            .unwrap();
+            let (cached, _) = run_counted(&simulation, 12, &options(threads, Some(capacity)));
             assert_eq!(
                 cached, reference,
                 "capacity {capacity} at {threads} threads changed a report"
@@ -91,89 +107,29 @@ fn eviction_determinism_across_capacities() {
     }
 }
 
-#[derive(Default)]
-struct CacheStatsSink {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    calls: AtomicU64,
-}
-
-impl ProgressSink for CacheStatsSink {
-    fn windows_processed(&self, _device_id: u64, _count: usize) {}
-
-    fn device_completed(&self, _device_id: u64, _windows: usize) {}
-
-    fn profile_cache(&self, hits: u64, misses: u64) {
-        // relaxed: assertions read these after the executor returned, so
-        // the worker join already orders every store.
-        self.hits.store(hits, Ordering::Relaxed);
-        // relaxed: ordered by the worker join, as above.
-        self.misses.store(misses, Ordering::Relaxed);
-        // relaxed: ordered by the worker join, as above.
-        self.calls.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// On one worker thread the accounting is exact: misses equal the distinct
-/// cache keys, hits equal the repeats, and the counters arrive exactly once
-/// per run through `ProgressSink::profile_cache`.
+/// cache keys and hits equal the repeats, in the run's registry.
 #[test]
 fn hit_and_miss_counters_account_for_every_device() {
-    let simulation = FleetSimulation::new(5, ScenarioMix::balanced()).unwrap();
-    let base: Vec<_> = simulation.generator().scenarios(3).collect();
     // 3 distinct profiles, 9 devices: 3 misses + 6 hits with room to cache.
-    let scenarios: Vec<_> = (0..9)
-        .map(|i| {
-            let mut s = base[i % base.len()].clone();
-            s.device_id = i as u64;
-            s
-        })
-        .collect();
-
-    let sink = CacheStatsSink::default();
-    let outcome = fleet::run_fleet_with_progress(
-        &scenarios,
-        simulation.zoo(),
-        simulation.engine(),
+    let simulation = three_profile_simulation(5);
+    let (reports, counters) = run_counted(
+        &simulation,
+        9,
         &options(1, Some(DEFAULT_PROFILE_CACHE_CAPACITY)),
-        Some(&sink),
-    )
-    .unwrap();
-    assert_eq!(outcome.len(), 9);
-    // relaxed: post-join test assertion.
-    assert_eq!(sink.calls.load(Ordering::Relaxed), 1);
-    // relaxed: post-join test assertion.
-    assert_eq!(sink.misses.load(Ordering::Relaxed), 3);
-    // relaxed: post-join test assertion.
-    assert_eq!(sink.hits.load(Ordering::Relaxed), 6);
+    );
+    assert_eq!(reports.len(), 9);
+    assert_eq!(counters, Some((6, 3)));
 
     // Capacity 0 stores nothing: every device misses.
-    let cold = CacheStatsSink::default();
-    fleet::run_fleet_with_progress(
-        &scenarios,
-        simulation.zoo(),
-        simulation.engine(),
-        &options(1, Some(0)),
-        Some(&cold),
-    )
-    .unwrap();
-    // relaxed: post-join test assertion.
-    assert_eq!(cold.misses.load(Ordering::Relaxed), 9);
-    // relaxed: post-join test assertion.
-    assert_eq!(cold.hits.load(Ordering::Relaxed), 0);
+    let (cold, counters) = run_counted(&simulation, 9, &options(1, Some(0)));
+    assert_eq!(counters, Some((0, 9)));
+    assert_eq!(cold, reports);
 
-    // Cache disabled: the sink is never called.
-    let off = CacheStatsSink::default();
-    fleet::run_fleet_with_progress(
-        &scenarios,
-        simulation.zoo(),
-        simulation.engine(),
-        &options(1, None),
-        Some(&off),
-    )
-    .unwrap();
-    // relaxed: post-join test assertion.
-    assert_eq!(off.calls.load(Ordering::Relaxed), 0);
+    // Cache off: the run registers no cache series at all.
+    let (off, counters) = run_counted(&simulation, 9, &options(1, None));
+    assert_eq!(counters, None);
+    assert_eq!(off, reports);
 }
 
 /// The generator's own cohort mechanism feeds the cache end to end: a
@@ -189,24 +145,27 @@ fn cohort_mix_hits_the_cache_through_the_full_pipeline() {
     let uncached = simulation
         .run_with_options(devices, &options(1, None), None)
         .unwrap();
-    let sink = CacheStatsSink::default();
-    let cached = simulation
-        .run_with_options(
-            devices,
-            &options(1, Some(DEFAULT_PROFILE_CACHE_CAPACITY)),
-            Some(&sink),
-        )
-        .unwrap();
+    let registry = telemetry::Registry::new();
+    let cached = {
+        let _scope = telemetry::scoped(&registry);
+        simulation
+            .run_with_options(
+                devices,
+                &options(1, Some(DEFAULT_PROFILE_CACHE_CAPACITY)),
+                None,
+            )
+            .unwrap()
+    };
     assert_eq!(
         serde_json::to_string_pretty(&uncached.report).unwrap(),
         serde_json::to_string_pretty(&cached.report).unwrap()
     );
     assert_eq!(uncached.devices, cached.devices);
     // One miss per pool slot, one hit per repeat — exact on one thread.
-    // relaxed: post-join test assertion.
-    assert_eq!(sink.misses.load(Ordering::Relaxed), pool);
-    // relaxed: post-join test assertion.
-    assert_eq!(sink.hits.load(Ordering::Relaxed), devices - pool);
+    let snapshot = registry.snapshot();
+    let event = |result| snapshot.counter_value(PROFILE_CACHE_EVENTS_SERIES, &[("result", result)]);
+    assert_eq!(event("miss"), Some(pool));
+    assert_eq!(event("hit"), Some(devices - pool));
 }
 
 /// The committed 64-device golden fixture is reproduced byte-for-byte with

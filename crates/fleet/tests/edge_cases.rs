@@ -2,8 +2,8 @@
 //! device-id boundaries must yield well-formed reports — no panics, no NaNs.
 
 use fleet::{
-    merge, run_fleet, DistributionSummary, ExecutorOptions, FleetReport, FleetSimulation,
-    ScenarioMix, ShardSpec,
+    merge, run_fleet_range, simulate_device, DistributionSummary, ExecutorOptions, FleetReport,
+    FleetSimulation, ScenarioMix, ShardSpec,
 };
 
 fn assert_finite(summary: &DistributionSummary, name: &str) {
@@ -93,19 +93,25 @@ fn single_device_fleet_is_well_formed() {
 #[test]
 fn u64_boundary_device_ids_simulate_cleanly() {
     let simulation = FleetSimulation::new(3, ScenarioMix::balanced()).unwrap();
-    let generator = simulation.generator();
-    let scenarios: Vec<_> = [u64::MAX, u64::MAX - 1, 0]
-        .into_iter()
-        .map(|id| generator.scenario(id))
-        .collect();
-    let reports = run_fleet(
-        &scenarios,
-        simulation.zoo(),
-        simulation.engine(),
-        &ExecutorOptions::default(),
-    )
-    .unwrap();
-    assert_eq!(reports[0].device_id, u64::MAX);
+    let run = |range| {
+        run_fleet_range(
+            simulation.generator(),
+            range,
+            simulation.zoo(),
+            simulation.engine(),
+            &ExecutorOptions::default(),
+            None,
+        )
+        .unwrap()
+    };
+    // A range's exclusive end caps its ids at `u64::MAX - 1`; the id
+    // `u64::MAX` itself runs through the per-device entry point.
+    let mut reports = run(u64::MAX - 2..u64::MAX);
+    let top = simulation.generator().scenario(u64::MAX);
+    reports.push(simulate_device(&top, simulation.zoo(), simulation.engine()).unwrap());
+    reports.extend(run(0..1));
+    let ids: Vec<_> = reports.iter().map(|r| r.device_id).collect();
+    assert_eq!(ids, [u64::MAX - 2, u64::MAX - 1, u64::MAX, 0]);
     assert!(reports.iter().all(|r| r.windows > 0));
     let report = FleetReport::from_devices(&reports);
     assert_well_formed(&report);

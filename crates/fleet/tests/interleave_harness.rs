@@ -3,27 +3,20 @@
 //! Runs only with `--features interleave` (see `crates/interleave` and the
 //! sibling harness in `crates/telemetry/tests/interleave_harness.rs`).
 //!
-//! Two subjects:
-//!
-//! * the executor's CAS-claimed device cursor
-//!   ([`fleet::executor::claim_chunk`]) — concurrent workers must tile the
-//!   device range exactly (disjoint, gap-free, in-bounds) in every
-//!   interleaving, even with all-Relaxed orderings and spurious weak-CAS
-//!   failures injected;
-//! * the profile-cache stats publication pair
-//!   ([`fleet::CachePublication`]) — a Release store of the `reported`
-//!   flag paired with an Acquire load must never let a reader observe the
-//!   flag without the counter values published before it. The mutation
-//!   self-test downgrades the Release store to Relaxed and demands the
-//!   checker *find* the torn read — proving these harnesses have teeth.
+//! Subject: the executor's CAS-claimed device cursor
+//! ([`fleet::executor::claim_chunk`]) — concurrent workers must tile the
+//! device range exactly (disjoint, gap-free, in-bounds) in every
+//! interleaving, even with all-Relaxed orderings and spurious weak-CAS
+//! failures injected. That the checker catches a torn Release/Acquire
+//! publication at all is proven by its own suite
+//! (`crates/interleave/tests/model.rs::relaxed_publication_is_caught_and_replayable`).
 
 #![cfg(feature = "interleave")]
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use fleet::executor::claim_chunk;
 use fleet::sync::atomic::AtomicU64;
-use fleet::CachePublication;
 
 /// Devices in the simulated fleet; small enough to explore exhaustively,
 /// large enough that two workers interleave mid-range.
@@ -74,67 +67,4 @@ fn executor_cursor_claims_tile_the_device_range_exactly() {
         stats.executions > 1,
         "expected many interleavings: {stats:?}"
     );
-}
-
-/// The Release/Acquire publication pair is sound: whenever `stats()`
-/// returns `Some`, the values are exactly the ones published — never a
-/// torn or stale pair — in every interleaving.
-#[test]
-fn cache_publication_is_sound() {
-    // Proof that the reader genuinely races the writer: some execution
-    // observes `None` (flag not yet visible) and some observes `Some`.
-    let saw = Arc::new(Mutex::new((false, false)));
-    let witness = Arc::clone(&saw);
-
-    let stats = interleave::explore(&interleave::Options::default(), move || {
-        let publication = Arc::new(CachePublication::new());
-        let writer = {
-            let publication = Arc::clone(&publication);
-            interleave::thread::spawn(move || publication.publish(7, 3))
-        };
-        match publication.stats() {
-            // The Acquire load saw the Release store, so the counter
-            // stores published before it are guaranteed visible.
-            Some(pair) => {
-                assert_eq!(pair, (7, 3), "torn publication: {pair:?}");
-                witness.lock().unwrap().1 = true;
-            }
-            None => witness.lock().unwrap().0 = true,
-        }
-        writer.join().expect("writer must not panic");
-        assert_eq!(publication.stats(), Some((7, 3)), "publication lost");
-    })
-    .unwrap_or_else(|failure| panic!("{failure}"));
-    assert!(stats.complete, "schedule space not exhausted: {stats:?}");
-    let (saw_none, saw_some) = *saw.lock().unwrap();
-    assert!(saw_none && saw_some, "reader never raced the writer");
-}
-
-/// Mutation self-test: downgrading the Release store to Relaxed
-/// ([`CachePublication::new_unsound_relaxed`]) must make the checker find
-/// an interleaving where the reader sees the flag without the values —
-/// and the failing schedule must replay to the same assertion.
-#[test]
-fn relaxed_publication_mutation_is_caught_and_replays() {
-    let body = || {
-        let publication = Arc::new(CachePublication::new_unsound_relaxed());
-        let writer = {
-            let publication = Arc::clone(&publication);
-            interleave::thread::spawn(move || publication.publish(7, 3))
-        };
-        if let Some(pair) = publication.stats() {
-            assert_eq!(pair, (7, 3), "torn publication: {pair:?}");
-        }
-        writer.join().expect("writer must not panic");
-    };
-    let failure = interleave::explore(&interleave::Options::default(), body)
-        .expect_err("the checker must catch the Relaxed publication");
-    assert!(
-        failure.message.contains("torn publication"),
-        "wrong failure: {failure}"
-    );
-    // The printed schedule replays deterministically to the same bug.
-    let replayed = interleave::replay(&failure.schedule, body)
-        .expect_err("replaying the failing schedule must fail again");
-    assert_eq!(replayed.message, failure.message);
 }

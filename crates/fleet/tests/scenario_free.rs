@@ -8,10 +8,11 @@
 //! process-global, and other test binaries legitimately run fleets
 //! concurrently, which would race the peak measurement.
 
+use std::ops::Range;
 use std::sync::Mutex;
 
 use fleet::executor::metrics;
-use fleet::{ExecutorOptions, FleetSimulation, ScenarioMix, ShardSpec};
+use fleet::{DeviceReport, ExecutorOptions, FleetSimulation, ScenarioMix, ShardSpec};
 
 const THREADS: usize = 4;
 
@@ -19,21 +20,30 @@ const THREADS: usize = 4;
 /// and the gauge they observe is process-global.
 static GAUGE_LOCK: Mutex<()> = Mutex::new(());
 
+/// The reports of `range`, each device simulated on its own through
+/// [`fleet::simulate_device`].
+fn per_device_reports(simulation: &FleetSimulation, range: Range<u64>) -> Vec<DeviceReport> {
+    simulation
+        .generator()
+        .scenarios_in(range)
+        .map(|scenario| {
+            fleet::simulate_device(&scenario, simulation.zoo(), simulation.engine()).unwrap()
+        })
+        .collect()
+}
+
 #[test]
 fn generated_scenarios_stay_bounded_by_the_worker_count() {
     let _guard = GAUGE_LOCK.lock().unwrap();
     let simulation = FleetSimulation::new(42, ScenarioMix::balanced()).unwrap();
 
-    // Eager baseline for the equivalence half of the assertion.
-    let scenarios: Vec<_> = simulation.generator().scenarios(24).collect();
+    // Per-device baseline for the equivalence half of the assertion.
+    let per_device = per_device_reports(&simulation, 0..24);
     let options = ExecutorOptions {
         threads: THREADS,
         chunk_size: 2,
         ..ExecutorOptions::default()
     };
-    let eager =
-        fleet::run_fleet(&scenarios, simulation.zoo(), simulation.engine(), &options).unwrap();
-    drop(scenarios);
 
     // The scenario-free path: same reports, O(threads) scenario memory.
     metrics::reset_peak();
@@ -44,9 +54,10 @@ fn generated_scenarios_stay_bounded_by_the_worker_count() {
         simulation.zoo(),
         simulation.engine(),
         &options,
+        None,
     )
     .unwrap();
-    assert_eq!(scenario_free, eager);
+    assert_eq!(scenario_free, per_device);
     assert_eq!(
         metrics::live_generated_scenarios(),
         0,
@@ -58,16 +69,6 @@ fn generated_scenarios_stay_bounded_by_the_worker_count() {
         "peak live scenarios was {peak}; the scenario-free path must keep at \
          most one generated scenario alive per worker (threads = {THREADS})"
     );
-
-    // The slice path generates nothing at all.
-    metrics::reset_peak();
-    let scenarios: Vec<_> = simulation.generator().scenarios(8).collect();
-    fleet::run_fleet(&scenarios, simulation.zoo(), simulation.engine(), &options).unwrap();
-    assert_eq!(
-        metrics::peak_live_scenarios(),
-        0,
-        "the eager slice path must not register generated scenarios"
-    );
 }
 
 #[test]
@@ -76,22 +77,14 @@ fn sharded_run_uses_the_scenario_free_path() {
     let simulation = FleetSimulation::new(7, ScenarioMix::connected()).unwrap();
     let spec = ShardSpec::new(12, 3).unwrap();
 
-    // `run_shard` is the scenario-free path end to end: its reports match a
-    // slice-driven run over the same range without ever collecting one.
+    // `run_shard` is the scenario-free path end to end: its reports match
+    // the devices simulated one by one over the same range.
     let shard = simulation.run_shard(&spec, 1, 2).unwrap();
     let range = spec.range(1).unwrap();
-    let scenarios: Vec<_> = simulation.generator().scenarios_in(range.clone()).collect();
-    let eager = fleet::run_fleet(
-        &scenarios,
-        simulation.zoo(),
-        simulation.engine(),
-        &ExecutorOptions {
-            threads: 2,
-            ..ExecutorOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(shard.devices, eager);
+    assert_eq!(
+        shard.devices,
+        per_device_reports(&simulation, range.clone())
+    );
     assert_eq!(shard.meta.start, range.start);
     assert_eq!(shard.meta.end, range.end);
 }

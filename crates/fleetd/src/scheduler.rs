@@ -105,9 +105,9 @@ impl ProgressSink for JobProgress<'_> {
     }
 
     fn should_cancel(&self) -> bool {
-        // One-way abort latch polled between windows; a stale `false` only
-        // delays cancellation by one polling interval (model-checked in
-        // fleetd/tests/interleave_harness.rs).
+        // One-way abort latch, polled by the executor once before each
+        // device; a stale `false` only delays cancellation by one device
+        // (model-checked in fleetd/tests/interleave_harness.rs).
         self.latch.abort_requested()
     }
 }
